@@ -12,15 +12,14 @@ against it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import continuous_complex_indices
 from .eigen import eig, frobenius_norm
-from .lattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian
+from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec, build_hamiltonian
+from .nonbloch import characteristic_roots
 
 __all__ = [
     "PTWindow",
@@ -31,8 +30,9 @@ __all__ = [
     "criterion_check",
 ]
 
-_GRID = 10_000
-_DEDUP_TOL = 1e-10
+_UNIT_TOL = 1e-4  # ||beta| - 1| below which a root is a real momentum
+_ENERGY_TOL = 1e-9  # relative |E(k) - eps| for an equal-energy momentum
+_MERGE_TOL = 1e-3  # momenta closer than this (rad) are one tangency
 
 
 @dataclass(frozen=True)
@@ -69,42 +69,58 @@ def band_energy(h: HoppingSet, k: float) -> float:
     )
 
 
-def _grid_roots(f, grid: np.ndarray) -> list[float]:
-    """Sign-change bracketing on a fixed grid, refined by bisection."""
-    vals = np.array([f(x) for x in grid])
-    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0)]
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-12)))
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > _DEDUP_TOL:
-            dedup.append(r)
-    return dedup
+def _unimodular_phases(roots) -> np.ndarray:
+    """Phases in [0, 2pi) of the roots within _UNIT_TOL of the unit circle."""
+    roots = np.asarray(roots)
+    return np.angle(roots[np.abs(np.abs(roots) - 1.0) < _UNIT_TOL]) % TWO_PI
 
 
 def equal_energy_points(h: HoppingSet, epsilon: float) -> list[float]:
-    """All k in [0, 2pi) with E(k) = epsilon."""
-    grid = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-    grid = np.append(grid, 2.0 * math.pi)
-    roots = _grid_roots(lambda k: band_energy(h, k) - epsilon, grid)
-    return [r for r in roots if r < 2.0 * math.pi - _DEDUP_TOL]
+    """All k in [0, 2pi) with E(k) = epsilon, sorted: the phases of the
+    unimodular roots beta = e^{ik} of the characteristic polynomial.
+
+    A tangency (epsilon a critical value of the band) is a multiple root that
+    roundoff splits, by ~1e-8 for a double and ~1e-4 for a triple root; it
+    counts as one k.  Roots with ||beta| - 1| < 1e-4 and |E(k) - epsilon| <=
+    1e-9 (1 + |epsilon|) are kept, momenta within 1e-3 rad of each other
+    (going round the circle) merge into their mean, and a k just below 2pi
+    is reported as 0.
+    """
+    tol = _ENERGY_TOL * (1.0 + abs(epsilon))
+    ks = sorted(
+        float(k)
+        for k in _unimodular_phases(characteristic_roots(h, epsilon).roots)
+        if abs(band_energy(h, k) - epsilon) <= tol
+    )
+    clusters: list[list[float]] = []
+    for k in ks:
+        if clusters and k - clusters[-1][-1] < _MERGE_TOL:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    if len(clusters) > 1 and clusters[0][0] + TWO_PI - clusters[-1][-1] < _MERGE_TOL:
+        clusters[0] = [k - TWO_PI for k in clusters.pop()] + clusters[0]
+    points = (float(np.mean(c)) % TWO_PI for c in clusters)
+    return sorted(0.0 if TWO_PI - k < _MERGE_TOL else k for k in points)
+
+
+def _critical_values(h: HoppingSet) -> list[float]:
+    """Sorted distinct band energies at the critical momenta.
+
+    dE/dk is itself the band of the hoppings i*n*t_n, so the critical
+    momenta are the unimodular roots of that set's characteristic
+    polynomial at zero energy (the degree-2M slope polynomial
+    sum_n n (t_n beta^(M+n) - conj(t_n) beta^(M-n)), times i).
+    """
+    slope = HoppingSet(tuple((n, 1j * n * t) for n, t in h.items()))
+    critical_k = _unimodular_phases(characteristic_roots(slope, 0.0).roots)
+    return sorted({round(band_energy(h, k), 12) for k in critical_k})
 
 
 def pt_breaking_window(h: HoppingSet) -> PTWindow:
     """Energy intervals between band critical values where E(k) = eps has
     multiplicity >= 4, probed at interval midpoints."""
-    grid = np.linspace(0.0, 2.0 * math.pi, _GRID, endpoint=False)
-    grid = np.append(grid, 2.0 * math.pi)
-
-    def slope(k: float) -> float:
-        return float(
-            sum((1j * n * t * np.exp(1j * k * n)).real * 2.0 for n, t in h.items())
-        )
-
-    critical_k = _grid_roots(slope, grid)
-    critical_vals = sorted({round(band_energy(h, k), 12) for k in critical_k})
+    critical_vals = _critical_values(h)
     intervals: list[tuple[float, float]] = []
     mults: list[int] = []
     for lo, hi in zip(critical_vals, critical_vals[1:]):
@@ -124,9 +140,8 @@ def criterion_check(spec: ModelSpec) -> CriterionReport:
         raise ValueError("criterion applies to open chains")
     window = pt_breaking_window(spec.hoppings)
 
-    ks = np.linspace(0.0, 2.0 * math.pi, 2001)
-    band = [band_energy(spec.hoppings, k) for k in ks]
-    tol = 5.0 * (max(band) - min(band)) / spec.L
+    critical_vals = _critical_values(spec.hoppings)
+    tol = 5.0 * (critical_vals[-1] - critical_vals[0]) / spec.L
 
     H = build_hamiltonian(spec)
     spectrum = eig(H)

@@ -141,19 +141,7 @@ def _cmd_scaling(doc: dict, out: Path, args) -> None:
     base = _model_from(doc["model"], "model")
     sizes = [int(s) for s in doc["sizes"]]
 
-    def family(L: int) -> ModelSpec:
-        d = base.to_json_dict()
-        d["L"] = L
-        # keep the total flux fixed while the chain grows
-        d["flux_theta"] = base.flux_theta * base.L / L
-        for p in d["perturbations"]:
-            if p["i"] > base.L // 2:
-                p["i"] += L - base.L
-            if p["j"] > base.L // 2:
-                p["j"] += L - base.L
-        return ModelSpec.from_json_dict(d)
-
-    fit = fit_scale_free(family, sizes)
+    fit = fit_scale_free(base.resized, sizes)
     with (out / "scaling.csv").open("w") as fh:
         fh.write("L,c\n")
         for L, c in zip(fit.sizes, fit.c_estimates):

@@ -124,6 +124,24 @@ class ModelSpec:
     def max_range(self) -> int:
         return self.hoppings.max_range
 
+    def resized(self, L: int) -> "ModelSpec":
+        """The same model on a chain of length L, with each perturbation
+        pinned to the edge it was attached to (right-half sites move with the
+        right boundary) and the total flux L*theta kept fixed."""
+        if L == self.L:
+            return self
+        half = self.L // 2
+
+        def remap(s: int) -> int:
+            return s if s <= half else s + L - self.L
+
+        perts = tuple(
+            PerturbationTerm(remap(p.site_i), remap(p.site_j), p.amplitude)
+            for p in self.perturbations
+        )
+        theta = self.flux_theta * self.L / L
+        return replace(self, L=L, flux_theta=theta, perturbations=perts)
+
     def to_json_dict(self) -> dict:
         return {
             "L": self.L,

@@ -307,20 +307,6 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     )
 
 
-def _unimodular_count(
-    g: float, t: float, theta: float, phi: float, L: int, n_gamma: int
-) -> int:
-    """Number of unimodular eigenstates: sign changes over gamma in (0, pi)
-    of the on-circle boundary determinant (a real function there)."""
-    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    q = (
-        g**2 * np.sin(gamma * (L - 1))
-        - 2.0 * g * t * math.cos(phi) * np.sin(gamma * L)
-        + 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
-    )
-    return int(np.sum(q[:-1] * q[1:] < 0))
-
-
 def _real_axis_count(
     g: float, t: float, theta: float, phi: float, L: int, n_kappa: int = 2000
 ) -> int:
@@ -360,27 +346,24 @@ def _broken_intervals(
     n_gamma: int,
     n_g: int = 501,
 ) -> tuple[tuple[float, float], ...]:
+    """Runs of the n_g-point g/t grid on [lo, hi] with fewer than L real
+    eigenstates: sign changes over gamma in (0, pi) of the on-circle boundary
+    determinant (a real function there) plus :func:`_real_axis_count`."""
     gs = np.linspace(lo, hi, n_g)
-    broken = np.array(
-        [
-            _unimodular_count(g * t, t, theta, phi, L, n_gamma)
-            + _real_axis_count(g * t, t, theta, phi, L)
-            < L
-            for g in gs
-        ]
+    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
+    s_pole = np.sin(gamma * (L - 1))
+    s_L = np.sin(gamma * L)
+    constant = 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
+    broken = np.zeros(n_g, dtype=bool)
+    for i, g in enumerate(gs * t):
+        q = g**2 * s_pole - 2.0 * g * t * math.cos(phi) * s_L + constant
+        on_circle = int(np.sum(q[:-1] * q[1:] < 0))
+        broken[i] = on_circle + _real_axis_count(g, t, theta, phi, L) < L
+    # runs of broken points start at even and end after odd edges
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
+    return tuple(
+        (float(gs[a]), float(gs[b - 1])) for a, b in zip(edges[::2], edges[1::2])
     )
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < n_g:
-        if broken[i]:
-            j = i
-            while j + 1 < n_g and broken[j + 1]:
-                j += 1
-            intervals.append((float(gs[i]), float(gs[j])))
-            i = j + 1
-        else:
-            i += 1
-    return tuple(intervals)
 
 
 def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
@@ -393,10 +376,10 @@ def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
         B = 2 t^2 sin(gamma L) sin(gamma) - g^2 cos(gamma (L-1))
             + 2 g t cos(phi) cos(gamma L),
 
-    so off-circle solutions (sinh(delta) != 0) require B(gamma) = 0; the
-    imaginary part then fixes delta through a cosh(delta) equation, solved
-    by bracketed root finding.  Returns (gamma, delta) pairs; delta values
-    come in +- pairs.  Empty when the model is PT-unbroken.
+    so off-circle solutions (sinh(delta) != 0) require B(gamma) = 0, found by
+    bracketed root finding; the imaginary part then fixes delta in closed
+    form through cosh(delta) = rhs.  Returns (gamma, delta) pairs; delta
+    values come in +- pairs.  Empty when the model is PT-unbroken.
     """
     t = float(params["t"])
     g = float(params["g"])
@@ -433,9 +416,7 @@ def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
         rhs = cosh_rhs(gm)
         if not math.isfinite(rhs) or rhs <= 1.0 + 1e-12:
             continue
-        # f_I(delta) = cosh(delta) - rhs, bracketed on [0, acosh(rhs)+1]
-        hi = math.acosh(rhs) + 1.0
-        delta = brentq(lambda d: math.cosh(d) - rhs, 0.0, hi, xtol=1e-14)
+        delta = math.acosh(rhs)
         out.append((float(gm), float(delta)))
         out.append((float(gm), float(-delta)))
     return out

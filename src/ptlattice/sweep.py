@@ -14,6 +14,7 @@ import enum
 import hashlib
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
@@ -189,9 +190,15 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _load_cache(path: Path) -> dict[tuple[int, int], float]:
+    """Points cached in newline-terminated lines.  A torn last line is cut
+    off the file, so its point is recomputed and appends start afresh."""
     cached: dict[tuple[int, int], float] = {}
     if path.exists():
-        for line in path.read_text().splitlines():
+        data = path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            os.truncate(path, complete)
+        for line in data[:complete].decode().splitlines():
             if not line.strip():
                 continue
             i, j, val = line.split(",")

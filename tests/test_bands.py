@@ -47,18 +47,44 @@ def test_equal_energy_points_outside_band():
     assert equal_energy_points(NN, 5.0) == []
 
 
+@pytest.mark.parametrize(
+    "h, eps, expected",
+    [
+        (NN, 2.0, [0.0]),
+        (NN, -2.0, [math.pi]),
+        (_nnn(0.5), 3.0, [0.0]),
+        (_nnn(0.5), -1.0, [math.pi / 2, math.pi, 3 * math.pi / 2]),
+        (_nnn(0.5), -1.5, [2 * math.pi / 3, 4 * math.pi / 3]),
+    ],
+    ids=["nn-top", "nn-bottom", "t2=0.5-top", "t2=0.5-local-max", "t2=0.5-min"],
+)
+def test_equal_energy_points_tangency(h, eps, expected):
+    # at a critical value the double root splits by roundoff; it counts once
+    assert equal_energy_points(h, eps) == pytest.approx(expected, abs=1e-6)
+
+
+def test_equal_energy_points_triple_root():
+    # t2 = 1/4: E(k) = -1.5 + O((k - pi)^4), a triple root split by ~1e-4 rad
+    ks = equal_energy_points(_nnn(0.25), -1.5)
+    assert len(ks) == 1
+    assert abs(ks[0] - math.pi) < 1e-3
+
+
 def test_window_empty_for_small_t2():
     for t2 in (0.05, 0.1, 0.2):
         win = pt_breaking_window(_nnn(t2))
         assert win.intervals == ()
 
 
-def test_window_for_large_t2():
-    win = pt_breaking_window(_nnn(0.5))
+@pytest.mark.parametrize("t2", [0.3, 0.5, 0.75, 1.0, 2.0])
+def test_window_for_large_t2(t2):
+    # interior minimum -1/(4 t2) - 2 t2 at cos k = -1/(4 t2); local maximum
+    # 2 t2 - 2 at k = pi
+    win = pt_breaking_window(_nnn(t2))
     assert len(win.intervals) == 1
     lo, hi = win.intervals[0]
-    assert lo == pytest.approx(-1.5, abs=1e-9)
-    assert hi == pytest.approx(-1.0, abs=1e-9)
+    assert lo == pytest.approx(-1.0 / (4.0 * t2) - 2.0 * t2, abs=1e-10)
+    assert hi == pytest.approx(2.0 * t2 - 2.0, abs=1e-10)
     assert win.multiplicity[0] >= 4
 
 

@@ -36,6 +36,16 @@ def test_spectrum_hermitian_all_real(tmp_path, capsys):
     assert sidecar["p_com"] == 0.0
 
 
+def test_spectrum_short_open_chain(tmp_path):
+    # half-window fits need about 40 sites; shorter chains flag no bound state
+    cfg = _write(tmp_path, "m.json", gain_chain(30).to_json_dict())
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 30
+    assert all(row.split(",")[-1] == "0" for row in rows)
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     rc = main(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 1

@@ -161,3 +161,35 @@ def test_flux_stored_mod_2pi():
         flux_theta=2 * math.pi + 0.25,
     )
     assert spec.flux_theta == pytest.approx(0.25)
+
+
+def test_resized_identity():
+    for spec in (gain_chain(50), nnn_chain(60, 1.0, 0.5, 0.8), flux_ring(101, 0.3, 0.5)):
+        assert spec.resized(spec.L) == spec
+
+
+def test_resized_pins_perturbations_and_flux():
+    ring = flux_ring(101, 0.3, 0.5)
+    big = ring.resized(202)
+    assert [(p.site_i, p.site_j) for p in big.perturbations] == [(1, 1), (202, 202)]
+    assert big.L * big.flux_theta == pytest.approx(ring.L * ring.flux_theta, rel=1e-15)
+    assert big == flux_ring(202, 0.3 * 101 / 202, 0.5)
+    assert gain_chain(50, g=1.5).resized(100) == gain_chain(100, g=1.5)
+    assert nnn_chain(60, 1.0, 0.5, 0.8).resized(120) == nnn_chain(120, 1.0, 0.5, 0.8)
+
+
+def test_resized_moves_right_edge_bonds():
+    hop = HoppingSet(terms=((1, 1.0 + 0j),))
+    small = ModelSpec(
+        L=20,
+        boundary=Boundary.OPEN,
+        hoppings=hop,
+        perturbations=(PerturbationTerm(1, 2, 0.3j), PerturbationTerm(19, 20, -0.3j)),
+    )
+    expected = ModelSpec(
+        L=40,
+        boundary=Boundary.OPEN,
+        hoppings=hop,
+        perturbations=(PerturbationTerm(1, 2, 0.3j), PerturbationTerm(39, 40, -0.3j)),
+    )
+    assert small.resized(40) == expected

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ptlattice import AxisSpec, Metric, PhaseGrid, SweepConfig, run_sweep, threshold_extract
+from ptlattice.cli import main
 from ptlattice.sweep import apply_parameter, config_hash, write_grid_csv, write_grid_sidecar
 from conftest import flux_ring
 
@@ -84,6 +86,27 @@ def test_sweep_cache_resume(tmp_path):
     g2 = run_sweep(cfg, threads=2, cache_dir=tmp_path)
     assert np.array_equal(g1.values, g2.values)
     assert len(cache.read_text().splitlines()) == n_lines  # nothing recomputed
+
+
+@pytest.mark.parametrize("torn", ["0,1", "0,1,0.2"])
+def test_sweep_cache_torn_last_line(tmp_path, torn):
+    # an interrupted write leaves a last line without its newline; that point
+    # is recomputed and the next append does not join onto the fragment
+    cfg = _small_config()
+    fresh = run_sweep(cfg, threads=1)
+    cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
+    run_sweep(cfg, threads=1, cache_dir=tmp_path)
+    lines = cache.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("0,1,")]
+    cache.write_text("\n".join(kept) + "\n" + torn)
+    resumed = run_sweep(cfg, threads=2, cache_dir=tmp_path)
+    assert np.array_equal(resumed.values, fresh.values)
+    assert sorted(cache.read_text().splitlines()) == sorted(lines)
+
+    cache.write_text("\n".join(kept) + "\n" + torn)
+    doc = tmp_path / "scan.json"
+    doc.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["scan", "--config", str(doc), "--out", str(tmp_path)]) == 0
 
 
 def test_config_hash_stability():
