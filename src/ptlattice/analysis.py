@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eigen import Spectrum, eig, frobenius_norm
+from .eigen import Spectrum, eig, eigvals, frobenius_norm
 from .lattice import ModelSpec, build_hamiltonian
 
 __all__ = [
@@ -215,9 +215,9 @@ def bound_states_by_scaling(
     if not candidates:
         return []
     H_big = build_hamiltonian(spec.resized(factor * spec.L))
-    big = eig(H_big)
+    big = eigvals(H_big)
     tol_big = IMAG_CUT_FACTOR * frobenius_norm(H_big)
-    big_complex = big.eigenvalues[np.abs(big.eigenvalues.imag) > tol_big]
+    big_complex = big[np.abs(big.imag) > tol_big]
     out = []
     for k in candidates:
         e = spectrum.eigenvalues[k]

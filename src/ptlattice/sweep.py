@@ -4,7 +4,9 @@ A sweep instantiates the base model at every grid point of two parameter
 axes, diagonalizes it, and records a scalar metric (complex-eigenvalue
 fraction, max |Im E|, or a broken/unbroken indicator).  Results are cached
 per point on disk, keyed by a hash of the configuration, so interrupted
-sweeps resume; grids are deterministic regardless of worker count.
+sweeps resume; grids are deterministic regardless of worker count.  BLAS
+runs on one thread for the length of a sweep, so the worker pool is the
+only parallelism.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify_spectrum, continuous_complex_indices
-from .eigen import EigensolverError, eig, frobenius_norm
+from .eigen import EigensolverError, _single_threaded_blas, eig, frobenius_norm
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
 
 __all__ = [
@@ -190,19 +192,23 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
 
 
 def _load_cache(path: Path) -> dict[tuple[int, int], float]:
-    """Points cached in newline-terminated lines.  A torn last line is cut
-    off the file, so its point is recomputed and appends start afresh."""
+    """Points cached in newline-terminated ``i,j,value`` lines; a later line
+    overrides an earlier one for the same point.  A torn last line is cut
+    off the file, so its point is recomputed and appends start afresh.
+    Complete lines that do not parse are skipped, so their points are
+    recomputed too."""
     cached: dict[tuple[int, int], float] = {}
     if path.exists():
         data = path.read_bytes()
         complete = data.rfind(b"\n") + 1
         if complete < len(data):
             os.truncate(path, complete)
-        for line in data[:complete].decode().splitlines():
-            if not line.strip():
+        for line in data[:complete].decode(errors="replace").splitlines():
+            try:
+                i, j, val = line.split(",")
+                cached[(int(i), int(j))] = float(val)
+            except ValueError:
                 continue
-            i, j, val = line.split(",")
-            cached[(int(i), int(j))] = float(val)
     return cached
 
 
@@ -214,7 +220,11 @@ def run_sweep(
     """Fill the metric grid, in parallel, resuming from the cache if present.
 
     Eigensolver failures at single points are recorded as NaN with a
-    diagnostic message instead of aborting the sweep.
+    diagnostic message instead of aborting the sweep.  The pool has
+    ``threads`` workers (the executor default when None), and BLAS is
+    pinned to one thread while it runs.  ``provenance`` records both:
+    ``workers`` (0 when every point came from the cache) and
+    ``blas_threads`` (1, or None when no OpenBLAS control was found).
     """
     key = config_hash(config)
     v1s, v2s = config.axis1.values, config.axis2.values
@@ -246,8 +256,12 @@ def run_sweep(
         return i, j, val
 
     results = dict(cached)
+    workers = 0
+    blas_threads = None
     if todo:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # ThreadPoolExecutor's own default when threads is None
+        workers = threads if threads is not None else min(32, (os.cpu_count() or 1) + 4)
+        with _single_threaded_blas() as blas_threads, ThreadPoolExecutor(workers) as pool:
             for i, j, val in pool.map(worker, todo):
                 results[(i, j)] = val
                 if cache_file is not None:
@@ -255,8 +269,8 @@ def run_sweep(
                         fh.write(f"{i},{j},{val:.17g}\n")
 
     grid = np.full((len(v1s), len(v2s)), math.nan)
-    for (i, j), val in results.items():
-        grid[i, j] = val
+    for i, j in np.ndindex(grid.shape):
+        grid[i, j] = results[(i, j)]
     from . import __version__
 
     return PhaseGrid(
@@ -264,7 +278,12 @@ def run_sweep(
         axis2=config.axis2,
         metric=config.metric,
         values=grid,
-        provenance={"config_hash": key, "version": __version__},
+        provenance={
+            "config_hash": key,
+            "version": __version__,
+            "workers": workers,
+            "blas_threads": blas_threads,
+        },
         diagnostics=tuple(diagnostics),
     )
 

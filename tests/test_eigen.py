@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ptlattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian, eig, frobenius_norm
-from conftest import flux_ring, gain_chain
+from ptlattice.eigen import EigensolverError, eigvals
+from conftest import flux_ring, gain_chain, nnn_chain
 
 
 def _ring(L):
@@ -93,3 +94,43 @@ def test_rejects_non_square():
 
     with pytest.raises((EigensolverError, ValueError)):
         eig(np.zeros((3, 4), complex))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [flux_ring(100, 0.01, 0.8, phi=math.pi / 2), nnn_chain(200, 1.0, 0.5, 0.8)],
+    ids=["ring", "nnn_chain"],
+)
+def test_eigvals_matches_eig(spec):
+    # same values in the same (Re, Im) order; a conjugate pair whose real
+    # parts differ in the last bits may come out swapped, so each value is
+    # matched to its nearest counterpart
+    H = build_hamiltonian(spec)
+    values = eigvals(H)
+    full = eig(H).eigenvalues
+    assert len(values) == len(full)
+    assert np.array_equal(np.lexsort((values.imag, values.real)), np.arange(len(values)))
+    dist = np.abs(values[:, None] - full[None, :])
+    tol = 1e-12 * frobenius_norm(H)
+    assert np.max(dist.min(axis=1)) <= tol
+    assert np.max(dist.min(axis=0)) <= tol
+
+
+def test_eigvals_rejects_bad_input():
+    with pytest.raises(ValueError):
+        eigvals(np.zeros((3, 4), complex))
+    H = np.eye(3, dtype=complex)
+    H[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        eigvals(H)
+    H[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        eigvals(H)
+
+
+def test_eigvals_trace_check(monkeypatch):
+    H = build_hamiltonian(flux_ring(20, 0.1, 0.5))
+    true = np.linalg.eigvals(H)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: true + 1e-9)
+    with pytest.raises(EigensolverError, match="trace"):
+        eigvals(H)

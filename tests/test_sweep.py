@@ -1,13 +1,20 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from ptlattice import AxisSpec, Metric, PhaseGrid, SweepConfig, run_sweep, threshold_extract
+from ptlattice import sweep
 from ptlattice.cli import main
+from ptlattice.eigen import _openblas_thread_controls
 from ptlattice.sweep import apply_parameter, config_hash, write_grid_csv, write_grid_sidecar
 from conftest import flux_ring
+
+needs_openblas = pytest.mark.skipif(
+    _openblas_thread_controls() is None, reason="no OpenBLAS thread control found in numpy"
+)
 
 
 def _small_config():
@@ -107,6 +114,113 @@ def test_sweep_cache_torn_last_line(tmp_path, torn):
     doc = tmp_path / "scan.json"
     doc.write_text(json.dumps(cfg.to_json_dict()))
     assert main(["scan", "--config", str(doc), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("bad", ["0,1", "0,1,abc", "x,y,z", "-1,0,0.5", "99,0,0.5"])
+def test_sweep_cache_malformed_line(tmp_path, bad):
+    # a complete line that is not an in-grid int,int,float point is skipped;
+    # the missing point is recomputed and appended after it
+    cfg = _small_config()
+    fresh = run_sweep(cfg, threads=1)
+    cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
+    run_sweep(cfg, threads=1, cache_dir=tmp_path)
+    lines = cache.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("0,1,")]
+    cache.write_text("\n".join([*kept, bad]) + "\n")
+    resumed = run_sweep(cfg, threads=2, cache_dir=tmp_path)
+    assert np.array_equal(resumed.values, fresh.values)
+    assert sorted(line for line in cache.read_text().splitlines() if line != bad) == sorted(lines)
+
+    cache.write_text("\n".join(["0,0,0", *kept, bad]) + "\n")
+    doc = tmp_path / "scan.json"
+    doc.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["scan", "--config", str(doc), "--out", str(tmp_path)]) == 0
+
+
+def test_sweep_cache_later_line_wins(tmp_path):
+    cfg = _small_config()
+    fresh = run_sweep(cfg, threads=1, cache_dir=tmp_path)
+    cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
+    cache.write_text("0,0,0.75\n" + cache.read_text())
+    assert np.array_equal(run_sweep(cfg, threads=1, cache_dir=tmp_path).values, fresh.values)
+
+
+@needs_openblas
+def test_sweep_restores_blas_threads(monkeypatch):
+    get, set_ = _openblas_thread_controls()
+    original = get()
+    try:
+        set_(2)
+        before = get()
+        run_sweep(_small_config(), threads=2)
+        assert get() == before
+
+        def broken(config, v1, v2):
+            raise RuntimeError("worker failure")
+
+        monkeypatch.setattr(sweep, "_point_metric", broken)
+        with pytest.raises(RuntimeError, match="worker failure"):
+            run_sweep(_small_config(), threads=2)
+        assert get() == before
+    finally:
+        set_(original)
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_workers_see_one_blas_thread(monkeypatch, threads):
+    get, _ = _openblas_thread_controls()
+    seen = []
+
+    def probe(config, v1, v2):
+        seen.append(get())
+        return 0.0
+
+    monkeypatch.setattr(sweep, "_point_metric", probe)
+    grid = run_sweep(_small_config(), threads=threads)
+    assert seen == [1] * 15
+    assert grid.provenance["workers"] == threads
+    assert grid.provenance["blas_threads"] == 1
+
+
+@needs_openblas
+def test_concurrent_sweeps_restore_blas_threads(monkeypatch):
+    # the pin is process-wide: overlapping sweeps keep it until the last ends
+    get, set_ = _openblas_thread_controls()
+    original = get()
+    inside = []
+    gate = threading.Barrier(2, timeout=30)
+
+    def probe(config, v1, v2):
+        if v1 == config.axis1.min and v2 == config.axis2.min:
+            gate.wait()
+        inside.append(get())
+        return 0.0
+
+    monkeypatch.setattr(sweep, "_point_metric", probe)
+    try:
+        set_(2)
+        runners = [threading.Thread(target=run_sweep, args=(_small_config(), 1)) for _ in range(2)]
+        for t in runners:
+            t.start()
+        for t in runners:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in runners)
+        assert inside == [1] * 30
+        assert get() == 2
+    finally:
+        set_(original)
+
+
+def test_sweep_provenance(tmp_path):
+    cfg = _small_config()
+    grid = run_sweep(cfg, threads=3, cache_dir=tmp_path)
+    assert grid.provenance["workers"] == 3
+    expected = None if _openblas_thread_controls() is None else 1
+    assert grid.provenance["blas_threads"] == expected
+    resumed = run_sweep(cfg, threads=3, cache_dir=tmp_path)
+    assert resumed.provenance["workers"] == 0
+    assert resumed.provenance["blas_threads"] is None
 
 
 def test_config_hash_stability():
