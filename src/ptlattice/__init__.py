@@ -17,7 +17,7 @@ from .lattice import (
     build_hamiltonian,
     is_pt_symmetric,
 )
-from .eigen import EigensolverError, Spectrum, eig, frobenius_norm
+from .eigen import EigensolverError, Spectrum, eig, frobenius_norm, solve
 from .analysis import (
     ScaleFreeFit,
     SpectrumClassification,
@@ -72,6 +72,7 @@ __all__ = [
     "Spectrum",
     "eig",
     "frobenius_norm",
+    "solve",
     "SpectrumClassification",
     "ScaleFreeFit",
     "classify_spectrum",

@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eigen import Spectrum, eig, eigvals, frobenius_norm
-from .lattice import ModelSpec, build_hamiltonian
+from .eigen import Spectrum, solve
+from .lattice import ModelSpec
 
 __all__ = [
     "SpectrumClassification",
@@ -44,13 +44,20 @@ _AMP_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SpectrumClassification:
-    """Real/complex split of a spectrum at the cut |Im E| > tol_imag."""
+    """Real/complex split of a spectrum at the cut |Im E| > tol_imag.
+
+    ``near_cut`` counts eigenvalues with 0 < |Im E| <= tol_imag.  On a
+    solve in the real PT basis, where real eigenvalues have Im exactly 0,
+    these are near-exceptional pairs that the cut calls real; on a complex
+    solve roundoff puts most real eigenvalues there.
+    """
 
     p_com: float
     n_com: int
     complex_indices: tuple[int, ...]
     tol_imag: float
     conjugate_partners: tuple[int, ...]  # one entry per complex index
+    near_cut: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ def classify_spectrum(
         raise ValueError("scale must be positive (pass the Frobenius norm)")
     tol = IMAG_CUT_FACTOR * scale if tol_imag is None else float(tol_imag)
     values = spectrum.eigenvalues
-    complex_idx = tuple(int(i) for i in np.flatnonzero(np.abs(values.imag) > tol))
+    im = np.abs(values.imag)
+    complex_idx = tuple(int(i) for i in np.flatnonzero(im > tol))
     partners = tuple(
         int(np.argmin(np.abs(values - np.conj(values[i])))) for i in complex_idx
     )
@@ -88,6 +96,7 @@ def classify_spectrum(
         complex_indices=complex_idx,
         tol_imag=tol,
         conjugate_partners=partners,
+        near_cut=int(np.count_nonzero((im > 0) & (im <= tol))),
     )
 
 
@@ -214,9 +223,9 @@ def bound_states_by_scaling(
     """
     if not candidates:
         return []
-    H_big = build_hamiltonian(spec.resized(factor * spec.L))
-    big = eigvals(H_big)
-    tol_big = IMAG_CUT_FACTOR * frobenius_norm(H_big)
+    big_spectrum, big_scale = solve(spec.resized(factor * spec.L), vectors=False)
+    big = big_spectrum.eigenvalues
+    tol_big = IMAG_CUT_FACTOR * big_scale
     big_complex = big[np.abs(big.imag) > tol_big]
     out = []
     for k in candidates:
@@ -300,9 +309,7 @@ def fit_scale_free(
     cs, max_ims = [], []
     for L in sizes:
         spec = model_family(L)
-        H = build_hamiltonian(spec)
-        spectrum = eig(H)
-        scale = frobenius_norm(H)
+        spectrum, scale = solve(spec)
         pick = _select_fit_state(spectrum, scale, spec.max_range)
         if pick is None:
             return ScaleFreeFit(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import continuous_complex_indices
-from .eigen import eig, frobenius_norm
-from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec, build_hamiltonian
+from .eigen import solve
+from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
 from .nonbloch import characteristic_roots
 
 __all__ = [
@@ -143,11 +143,8 @@ def criterion_check(spec: ModelSpec) -> CriterionReport:
     critical_vals = _critical_values(spec.hoppings)
     tol = 5.0 * (critical_vals[-1] - critical_vals[0]) / spec.L
 
-    H = build_hamiltonian(spec)
-    spectrum = eig(H)
-    continuum = continuous_complex_indices(
-        spec, spectrum, frobenius_norm(H), scaling_check=True
-    )
+    spectrum, scale = solve(spec)
+    continuum = continuous_complex_indices(spec, spectrum, scale, scaling_check=True)
 
     violations = []
     for i in continuum:

@@ -23,8 +23,8 @@ from .analysis import (
     state_metrics_rows,
 )
 from .bands import criterion_check
-from .eigen import EigensolverError, eig, frobenius_norm
-from .lattice import ModelSpec, build_hamiltonian
+from .eigen import EigensolverError, solve
+from .lattice import ModelSpec
 from .nonbloch import boundary_determinant, characteristic_roots, unitary_scan
 from .sweep import (
     SweepConfig,
@@ -32,6 +32,7 @@ from .sweep import (
     config_hash,
     run_sweep,
     threshold_extract,
+    uncertain_onsets,
     write_grid_csv,
     write_grid_sidecar,
 )
@@ -97,9 +98,8 @@ def _sidecar(out: Path, name: str, doc: dict, overrides: list[str]) -> None:
 
 def _cmd_spectrum(doc: dict, out: Path, args) -> None:
     spec = _model_from(doc)
-    H = build_hamiltonian(spec)
-    spectrum = eig(H)
-    cls = classify_spectrum(spectrum, frobenius_norm(H), args.tol_imag)
+    spectrum, scale = solve(spec)
+    cls = classify_spectrum(spectrum, scale, args.tol_imag)
     rows = state_metrics_rows(spec, spectrum)
     with (out / "spectrum.csv").open("w") as fh:
         fh.write("index,re_e,im_e,mean_position,half_asymmetry,c_fit,is_bound\n")
@@ -112,7 +112,14 @@ def _cmd_spectrum(doc: dict, out: Path, args) -> None:
     _sidecar(
         out,
         "spectrum.json",
-        {"config": doc, "p_com": cls.p_com, "n_com": cls.n_com, "tol_imag": cls.tol_imag},
+        {
+            "config": doc,
+            "p_com": cls.p_com,
+            "n_com": cls.n_com,
+            "tol_imag": cls.tol_imag,
+            "real_pt_basis": spectrum.real_basis,
+            "near_cut": cls.near_cut,
+        },
         args.override,
     )
     print(f"p_com = {cls.p_com:.6g} ({cls.n_com} complex eigenvalues)")
@@ -125,9 +132,15 @@ def _cmd_scan(doc: dict, out: Path, args) -> None:
         raise ConfigError(f"scan config: {exc}") from exc
     grid = run_sweep(config, threads=args.threads, cache_dir=out)
     key = config_hash(config)
+    onsets, uncertain = [], []
+    if grid.metric.value != "MaxImE":
+        onsets, uncertain = threshold_extract(grid), uncertain_onsets(grid)
     write_grid_csv(grid, out / f"grid_{key}.csv")
-    write_grid_sidecar(grid, out / f"grid_{key}.json", {"config": doc, "overrides": args.override})
-    onsets = threshold_extract(grid) if grid.metric.value != "MaxImE" else []
+    write_grid_sidecar(
+        grid,
+        out / f"grid_{key}.json",
+        {"config": doc, "overrides": args.override, "onset_uncertain": uncertain},
+    )
     with (out / f"onset_{key}.csv").open("w") as fh:
         fh.write(f"{config.axis1.parameter},onset_{config.axis2.parameter}\n")
         for v1, onset in onsets:
@@ -205,8 +218,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
         for gm, p, m, d in result.csv_rows():
             fh.write(f"{_fmt(gm)},{_fmt(p)},{_fmt(m)},{d}\n")
 
-    H = build_hamiltonian(spec)
-    spectrum = eig(H)
+    spectrum, _ = solve(spec)
     worst = 0.0
     for E in spectrum.eigenvalues:
         det = boundary_determinant(spec, characteristic_roots(spec.hoppings, complex(E)))
@@ -228,10 +240,8 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
 
 def _observed_onset(spec: ModelSpec, g_max: float, steps: int = 41) -> float | None:
     for g in np.linspace(0.0, g_max, steps):
-        test = apply_parameter(spec, "g", float(g))
-        H = build_hamiltonian(test)
-        spectrum = eig(H)
-        if classify_spectrum(spectrum, frobenius_norm(H)).n_com > 0:
+        spectrum, scale = solve(apply_parameter(spec, "g", float(g)))
+        if classify_spectrum(spectrum, scale).n_com > 0:
             if g == 0:
                 return 0.0
             return float(g - g_max / (steps - 1) / 2)

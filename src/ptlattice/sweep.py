@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify_spectrum, continuous_complex_indices
-from .eigen import EigensolverError, _single_threaded_blas, eig, frobenius_norm
+from .eigen import EigensolverError, _single_threaded_blas, solve
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "config_hash",
     "run_sweep",
     "threshold_extract",
+    "uncertain_onsets",
     "write_grid_csv",
     "write_grid_sidecar",
     "PARAMETER_PATHS",
@@ -168,13 +169,9 @@ def config_hash(config: SweepConfig) -> str:
 
 
 def _point_metric(config: SweepConfig, v1: float, v2: float) -> float:
-    from .lattice import build_hamiltonian
-
     spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
     spec = apply_parameter(spec, config.axis2.parameter, v2)
-    H = build_hamiltonian(spec)
-    spectrum = eig(H)
-    scale = frobenius_norm(H)
+    spectrum, scale = solve(spec)
     if config.metric is Metric.MAX_IM_E:
         return float(np.max(np.abs(spectrum.eigenvalues.imag)))
     if spec.boundary is Boundary.OPEN:
@@ -220,11 +217,13 @@ def run_sweep(
     """Fill the metric grid, in parallel, resuming from the cache if present.
 
     Eigensolver failures at single points are recorded as NaN with a
-    diagnostic message instead of aborting the sweep.  The pool has
-    ``threads`` workers (the executor default when None), and BLAS is
-    pinned to one thread while it runs.  ``provenance`` records both:
-    ``workers`` (0 when every point came from the cache) and
-    ``blas_threads`` (1, or None when no OpenBLAS control was found).
+    diagnostic message instead of aborting the sweep; ``provenance``
+    lists their ``[i, j]`` grid indices under ``nan_points`` (cached NaN
+    points included).  The pool has ``threads`` workers (the executor
+    default when None), and BLAS is pinned to one thread while it runs.
+    ``provenance`` records both: ``workers`` (0 when every point came from
+    the cache) and ``blas_threads`` (1, or None when no OpenBLAS control
+    was found).
     """
     key = config_hash(config)
     v1s, v2s = config.axis1.values, config.axis2.values
@@ -283,6 +282,7 @@ def run_sweep(
             "version": __version__,
             "workers": workers,
             "blas_threads": blas_threads,
+            "nan_points": np.argwhere(np.isnan(grid)).tolist(),
         },
         diagnostics=tuple(diagnostics),
     )
@@ -292,19 +292,34 @@ def threshold_extract(grid: PhaseGrid) -> list[tuple[float, float | None]]:
     """Per axis1 value, the axis2 onset of a positive metric.
 
     The onset is placed midway between the last zero and first positive grid
-    points (the linear interpolant of a step).  None marks all-zero columns.
+    points (the linear interpolant of a step).  None marks columns with no
+    positive point.  A NaN (failed) point is not positive; see
+    :func:`uncertain_onsets`.
     """
     v1s, v2s = grid.axis1.values, grid.axis2.values
     out: list[tuple[float, float | None]] = []
     for i, v1 in enumerate(v1s):
         row = grid.values[i]
-        positive = np.flatnonzero(np.nan_to_num(row) > 0)
+        positive = np.flatnonzero(row > 0)
         if len(positive) == 0:
             out.append((float(v1), None))
             continue
         j = int(positive[0])
         onset = float(v2s[j]) if j == 0 else float(0.5 * (v2s[j - 1] + v2s[j]))
         out.append((float(v1), onset))
+    return out
+
+
+def uncertain_onsets(grid: PhaseGrid) -> list[float]:
+    """Axis-1 values whose onset from :func:`threshold_extract` lies after
+    a NaN point (or that have no onset and a NaN point): the failed point
+    may hide an earlier onset."""
+    out = []
+    for v1, row in zip(grid.axis1.values, grid.values):
+        failed = np.flatnonzero(np.isnan(row))
+        positive = np.flatnonzero(row > 0)
+        if len(failed) and (len(positive) == 0 or failed[0] < positive[0]):
+            out.append(float(v1))
     return out
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ptlattice.cli import main
-from conftest import flux_ring, gain_chain
+from conftest import flux_ring, gain_chain, nnn_chain
 
 
 def _write(tmp_path, name, doc):
@@ -34,6 +34,21 @@ def test_spectrum_hermitian_all_real(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     sidecar = json.loads((out / "spectrum.json").read_text())
     assert sidecar["p_com"] == 0.0
+
+
+def test_spectrum_sidecar_health(tmp_path):
+    # 100 eigenvalues have Im != 0, two of them at or below the cut
+    cfg = _write(tmp_path, "m.json", nnn_chain(200, 1.0, 0.5, 0.5).to_json_dict())
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    sidecar = json.loads((out / "spectrum.json").read_text())
+    assert sidecar["real_pt_basis"] is True
+    assert sidecar["n_com"] == 98
+    assert sidecar["near_cut"] == 2
+
+    cfg = _write(tmp_path, "g.json", gain_chain(50, g=1.5).to_json_dict())
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "spectrum.json").read_text())["real_pt_basis"] is False
 
 
 def test_spectrum_short_open_chain(tmp_path):

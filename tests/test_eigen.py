@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ptlattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian, eig, frobenius_norm
-from ptlattice.eigen import EigensolverError, eigvals
+from ptlattice.eigen import RESIDUAL_FACTOR, EigensolverError, _checked_matrix, eigvals, solve
+from ptlattice.sweep import apply_parameter
 from conftest import flux_ring, gain_chain, nnn_chain
 
 
@@ -134,3 +135,88 @@ def test_eigvals_trace_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda A: true + 1e-9)
     with pytest.raises(EigensolverError, match="trace"):
         eigvals(H)
+
+
+def _nearest_distance(a, b):
+    dist = np.abs(a[:, None] - b[None, :])
+    return max(np.max(dist.min(axis=1)), np.max(dist.min(axis=0)))
+
+
+def test_eig_real_matrix_stays_real():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(40, 40))
+    assert _checked_matrix(A).dtype == np.float64
+    assert _checked_matrix(A.astype(int)).dtype == np.complex128
+    real = eig(A)
+    full = eig(A.astype(complex))
+    vals = real.eigenvalues
+    assert vals.dtype == np.complex128 and real.eigenvectors.dtype == np.complex128
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(len(vals)))
+    # dgeev returns exact conjugate pairs
+    assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+    assert _nearest_distance(vals, full.eigenvalues) <= 1e-12 * frobenius_norm(A)
+    assert np.max(real.residuals) <= RESIDUAL_FACTOR * frobenius_norm(A)
+
+
+PT_SPECS = [
+    flux_ring(100, 0.5 / 100, 0.8),
+    flux_ring(101, 0.5 / 101, 0.8),
+    nnn_chain(200, 1.0, 0.5, 0.5),
+]
+PT_IDS = ["ring_even", "ring_odd", "nnn_chain"]
+
+
+@pytest.mark.parametrize("spec", PT_SPECS, ids=PT_IDS)
+def test_solve_real_pt_basis(spec):
+    H = build_hamiltonian(spec)
+    spectrum, scale = solve(spec)
+    assert spectrum.real_basis
+    assert scale == frobenius_norm(H)
+    vals = spectrum.eigenvalues
+    # real eigenvalues have Im exactly 0; complex ones come in exact pairs
+    pairs = vals[vals.imag != 0]
+    assert len(pairs) > 0
+    assert np.array_equal(np.sort_complex(pairs), np.sort_complex(pairs.conj()))
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(len(vals)))
+    assert _nearest_distance(vals, eig(H).eigenvalues) <= 1e-12 * scale
+    # residual contract on the site-basis H
+    V = spectrum.eigenvectors
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-14)
+    residuals = np.linalg.norm(H @ V - V * vals, axis=0)
+    assert np.max(residuals) <= RESIDUAL_FACTOR * scale
+    assert np.allclose(residuals, spectrum.residuals, rtol=0, atol=1e-15 * scale)
+
+    values_only, scale_only = solve(spec, vectors=False)
+    assert values_only.real_basis and values_only.eigenvectors is None
+    assert scale_only == scale
+    assert _nearest_distance(values_only.eigenvalues, vals) <= 1e-12 * scale
+    with pytest.raises(ValueError):
+        values_only.vector(0)
+
+
+def test_solve_non_pt_is_the_complex_solve():
+    spec = gain_chain(40, g=1.5)  # gain on one site only
+    H = build_hamiltonian(spec)
+    spectrum, scale = solve(spec)
+    reference = eig(H)
+    assert not spectrum.real_basis
+    assert scale == frobenius_norm(H)
+    assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(spectrum.eigenvectors, reference.eigenvectors)
+    assert np.array_equal(spectrum.residuals, reference.residuals)
+    values_only, _ = solve(spec, vectors=False)
+    assert not values_only.real_basis
+    assert np.array_equal(values_only.eigenvalues, eigvals(H))
+
+
+def test_solve_real_path_on_criterion_models():
+    # a silent fall-back to the complex path would show only in timings
+    L = 100
+    ring = flux_ring(L, 0.2 / L, 1.0)  # criterion 4's sweep
+    for theta in (0.2 / L, 0.6 / L, 1.0 / L):
+        for g in (0.0, 0.75, 1.5):
+            point = apply_parameter(apply_parameter(ring, "flux_theta", theta), "g", g)
+            assert solve(point)[0].real_basis
+    chain = nnn_chain(L, 1.0, 0.5, 0.3)  # the benchmark's open-chain criterion model
+    assert solve(chain)[0].real_basis
+    assert solve(chain.resized(2 * L), vectors=False)[0].real_basis

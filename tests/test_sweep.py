@@ -8,8 +8,14 @@ import pytest
 from ptlattice import AxisSpec, Metric, PhaseGrid, SweepConfig, run_sweep, threshold_extract
 from ptlattice import sweep
 from ptlattice.cli import main
-from ptlattice.eigen import _openblas_thread_controls
-from ptlattice.sweep import apply_parameter, config_hash, write_grid_csv, write_grid_sidecar
+from ptlattice.eigen import EigensolverError, _openblas_thread_controls
+from ptlattice.sweep import (
+    apply_parameter,
+    config_hash,
+    uncertain_onsets,
+    write_grid_csv,
+    write_grid_sidecar,
+)
 from conftest import flux_ring
 
 needs_openblas = pytest.mark.skipif(
@@ -250,6 +256,67 @@ def test_threshold_extract_synthetic():
     onsets = threshold_extract(grid)
     assert onsets[0] == (0.0, pytest.approx(0.375))  # midpoint of 0.25 and 0.5
     assert onsets[1] == (1.0, None)
+
+
+def test_uncertain_onsets_synthetic():
+    ax1 = AxisSpec("flux_theta", 0.0, 3.0, 4)
+    ax2 = AxisSpec("g", 0.0, 1.0, 4)
+    nan = math.nan
+    values = np.array(
+        [
+            [0.0, nan, 0.1, 0.3],  # onset after a failed point
+            [0.0, 0.1, nan, 0.3],  # failed point after the onset
+            [0.0, nan, 0.0, 0.0],  # no onset, but a failed point
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    grid = PhaseGrid(axis1=ax1, axis2=ax2, metric=Metric.PCOM, values=values, provenance={})
+    assert uncertain_onsets(grid) == [0.0, 2.0]
+    assert [onset for _, onset in threshold_extract(grid)] == [
+        pytest.approx(0.5),
+        pytest.approx(1 / 6),
+        None,
+        None,
+    ]
+
+
+def _failing_at(monkeypatch, points):
+    """Make _point_metric raise EigensolverError at the given (i, j) points."""
+    cfg = _small_config()
+    bad = {(float(cfg.axis1.values[i]), float(cfg.axis2.values[j])) for i, j in points}
+    original = sweep._point_metric
+
+    def flaky(config, v1, v2):
+        if (v1, v2) in bad:
+            raise EigensolverError("QR iteration did not converge")
+        return original(config, v1, v2)
+
+    monkeypatch.setattr(sweep, "_point_metric", flaky)
+    return cfg
+
+
+def test_sweep_records_failed_points(monkeypatch, tmp_path):
+    # row 1 breaks at j = 3, so a failure at j = 1 may hide its onset;
+    # row 2 also breaks at j = 3, before its failure at j = 4
+    cfg = _failing_at(monkeypatch, [(1, 1), (2, 4)])
+    grid = run_sweep(cfg, threads=2)
+    assert grid.provenance["nan_points"] == [[1, 1], [2, 4]]
+    assert len(grid.diagnostics) == 2
+    assert uncertain_onsets(grid) == [float(cfg.axis1.values[1])]
+    assert [onset for _, onset in threshold_extract(grid)] == [
+        onset for _, onset in threshold_extract(run_sweep(_small_config(), threads=1))
+    ]
+
+    out = tmp_path / "o"
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
+    sidecar = json.loads(next(out.glob("grid_*.json")).read_text())
+    assert sidecar["provenance"]["nan_points"] == [[1, 1], [2, 4]]
+    assert sidecar["onset_uncertain"] == [float(cfg.axis1.values[1])]
+    onset_lines = next(out.glob("onset_*.csv")).read_text().splitlines()
+    assert onset_lines[0] == "flux_theta,onset_g"
+    assert len(onset_lines) == 4
 
 
 def test_grid_csv_round_trip(tmp_path):
