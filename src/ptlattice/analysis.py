@@ -269,16 +269,18 @@ def _select_fit_state(
 
     The maximal-Im-E state sits closest to bound-state formation and keeps
     size-dependent corrections; the median state is representative of the
-    continuum bulk.
+    continuum bulk.  Im parts within the classification cut are ties, broken
+    by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
     bound = set(detect_bound_states(spectrum, max_range))
     allowed = set(cls.complex_indices) - bound
     if not allowed:
         return None
-    by_im = sorted(
-        range(spectrum.dimension), key=lambda i: (spectrum.eigenvalues[i].imag, i)
-    )
+    values = spectrum.eigenvalues
+    order = np.argsort(values.imag, kind="stable")
+    tied = np.concatenate(([0], np.cumsum(np.diff(values.imag[order]) > cls.tol_imag)))
+    by_im = [int(i) for i in order[np.lexsort((values.real[order], tied))]]
     half = len(by_im) // 2
     # walk outward from the median until an eligible state is found
     for off in range(len(by_im)):

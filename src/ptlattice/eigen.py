@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import ModelSpec, build_hamiltonian
+from .lattice import ModelSpec, _matrix_is_pt_symmetric, build_hamiltonian
 
 __all__ = [
     "Spectrum",
@@ -158,14 +158,6 @@ def eigvals(H: np.ndarray) -> np.ndarray:
     return values
 
 
-def _is_pt_symmetric(H: np.ndarray) -> bool:
-    """P conj(H) P == H exactly.  Row i and its mirror L-1-i carry the same
-    conditions, so the upper ceil(L/2) rows are compared with their mirrors."""
-    rows = H.shape[0] - H.shape[0] // 2
-    top, mirrored = H[:rows], H[::-1, ::-1][:rows]
-    return np.array_equal(top.real, mirrored.real) and np.array_equal(top.imag, -mirrored.imag)
-
-
 def _real_pt_form(H: np.ndarray) -> np.ndarray:
     """R = U^dagger H U of a PT-symmetric H, in O(L^2) from its upper rows.
 
@@ -218,7 +210,7 @@ def solve(spec: ModelSpec, vectors: bool = True) -> tuple[Spectrum, float]:
     """
     H = build_hamiltonian(spec)
     scale = frobenius_norm(H)
-    if not _is_pt_symmetric(H):
+    if not _matrix_is_pt_symmetric(H, 0.0):
         spectrum = eig(H) if vectors else Spectrum(eigvals(H), None, None)
         return spectrum, scale
     R = _real_pt_form(H)

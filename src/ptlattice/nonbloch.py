@@ -8,7 +8,9 @@ builds the boundary matrices for open and flux-threaded periodic chains
 in an overflow-safe scaled form, and implements two solvers for the
 PT-breaking structure on the ring: an exact unitary (|beta| = 1) ansatz
 scan and an asymptotic large-L solver for the broken branch
-beta = exp(i*gamma + delta/L).
+beta = exp(i*gamma + delta/L).  The scan counts real eigenstates on the
+unit circle plus real-beta bound states on one kappa grid (Yokomizo &
+Murakami, PRL 123, 066404 (2019)).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _EP_ROOT_TOL = 1e-10
 _POLE_TOL = 1e-14
+_N_G = 501  # g/t grid of the broken-interval count
 
 
 @dataclass(frozen=True)
@@ -265,11 +268,10 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
         (g/t)^2 sin(gamma (L-1)) - 2 (g/t) cos(phi) sin(gamma L)
             + 2 (cos(gamma L) - cos(theta L)) sin(gamma) = 0,
 
-    whose solution branches G(gamma) are reported on the grid.  A value of
-    g/t supports a fully real spectrum only when the line g/t = G(gamma)
-    has L crossings for gamma in (0, pi) — one unimodular eigenstate each.
-    ``broken_g_intervals`` collects the g/t ranges where the crossing count
-    drops below L, i.e. where some eigenstate has left the unit circle.
+    whose solution branches G(gamma) are reported on the grid.  g/t has a
+    real spectrum only with L real eigenstates: crossings of g/t = G(gamma),
+    gamma in (0, pi), plus real-beta bound states on one kappa grid.
+    ``broken_g_intervals`` are the g/t ranges where they are fewer.
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
@@ -280,6 +282,8 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     L = int(params["L"])
     if t == 0:
         raise ValueError("t must be nonzero")
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
+        raise ValueError(f"g_range needs two finite ends with lo < hi, got {[g_lo, g_hi]}")
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
     s_pole = np.sin(gamma * (L - 1))
@@ -307,58 +311,51 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     )
 
 
-def _real_axis_count(
-    g: float, t: float, theta: float, phi: float, L: int, n_kappa: int = 2000
-) -> int:
-    """Real-eigenvalue bound states: roots of the boundary determinant at
-    real beta = +-e^kappa, kappa > 0.
-
-    The determinant is real there; it is evaluated times |beta|^-L so large
-    kappa stays finite.  These states are real-spectrum but non-unimodular,
-    so they must be counted alongside the circle solutions when testing
-    whether the whole spectrum is real.
+def _ring_quadratics(t: float, theta: float, L: int, n_gamma: int, g_max: float):
+    """(A, B, C) with D = g^2 A - 2 g t cos(phi) B + C the ring boundary
+    determinant on the curves where it is real: the circle beta = e^(i*gamma),
+    gamma in (0, pi), and the axes beta = +-e^kappa, kappa > 0, times beta^-L:
+        circle: A = sin(gamma (L-1)), B = sin(gamma L),
+                C = 2 t^2 (cos(gamma L) - cos(theta L)) sin(gamma);
+        axes:   A = 1/beta - beta^-2L beta, B = 1 - beta^-2L,
+                C = t^2 (1 + beta^-2L - 2 cos(theta L) beta^-L) (beta - 1/beta).
+    Axis roots are real-energy bound states; |E| <= 2|t| + |g| keeps them
+    below kappa = log(3 (1 + g_max)) for |g/t| <= g_max.  The kappa grid
+    starts at 1e-6, past the root at beta = +-1, with a spacing of at most
+    (log 3 - 1e-6) / 1999.
     """
-    kappa_max = math.log(3.0 * (1.0 + abs(g) / t))
-    kappa = np.linspace(1e-6, kappa_max, n_kappa)
-    count = 0
+    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
+    constant = 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
+    curves = [(np.sin(gamma * (L - 1)), np.sin(gamma * L), constant)]
+    kappa_max = math.log(3.0 * (1.0 + g_max))
+    ratio = (kappa_max - 1e-6) / (math.log(3.0) - 1e-6)
+    kappa = np.linspace(1e-6, kappa_max, math.ceil(1999 * ratio) + 1)
     for sign in (1.0, -1.0):
         b = sign * np.exp(kappa)
         binv = 1.0 / b
-        # det F * beta^-L, with beta^L factored out of the growing terms
-        d = (
-            g**2 * (binv - binv ** (2 * L) * b)
-            - 2.0 * g * t * math.cos(phi) * (1.0 - binv ** (2 * L))
-            + t**2
-            * (1.0 + binv ** (2 * L) - 2.0 * math.cos(theta * L) * binv**L)
-            * (b - binv)
-        )
-        count += int(np.sum(d[:-1] * d[1:] < 0))
-    return count
+        far = binv ** (2 * L)
+        bracket = 1.0 + far - 2.0 * math.cos(theta * L) * binv**L
+        curves.append((binv - far * b, 1.0 - far, t**2 * bracket * (b - binv)))
+    return curves
+
+
+def _crossings(curve, g: float, t: float, phi: float) -> int:
+    """Sign changes of D along one of :func:`_ring_quadratics`' curves,
+    skipping exact zeros: a root on a sample counts once."""
+    a, b, c = curve
+    s = np.sign(g**2 * a - 2.0 * g * t * math.cos(phi) * b + c)
+    s = s[s != 0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def _broken_intervals(
-    t: float,
-    theta: float,
-    phi: float,
-    L: int,
-    lo: float,
-    hi: float,
-    n_gamma: int,
-    n_g: int = 501,
+    t: float, theta: float, phi: float, L: int, lo: float, hi: float, n_gamma: int
 ) -> tuple[tuple[float, float], ...]:
-    """Runs of the n_g-point g/t grid on [lo, hi] with fewer than L real
-    eigenstates: sign changes over gamma in (0, pi) of the on-circle boundary
-    determinant (a real function there) plus :func:`_real_axis_count`."""
-    gs = np.linspace(lo, hi, n_g)
-    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    s_pole = np.sin(gamma * (L - 1))
-    s_L = np.sin(gamma * L)
-    constant = 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
-    broken = np.zeros(n_g, dtype=bool)
-    for i, g in enumerate(gs * t):
-        q = g**2 * s_pole - 2.0 * g * t * math.cos(phi) * s_L + constant
-        on_circle = int(np.sum(q[:-1] * q[1:] < 0))
-        broken[i] = on_circle + _real_axis_count(g, t, theta, phi, L) < L
+    """Runs of the _N_G-point g/t grid on [lo, hi] with fewer than L real
+    eigenstates, counted by :func:`_crossings`."""
+    gs = np.linspace(lo, hi, _N_G)
+    curves = _ring_quadratics(t, theta, L, n_gamma, max(abs(lo), abs(hi)))
+    broken = [sum(_crossings(q, g, t, phi) for q in curves) < L for g in gs * t]
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
     return tuple(

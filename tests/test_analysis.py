@@ -13,8 +13,14 @@ from ptlattice import (
     frobenius_norm,
     mean_position,
 )
-from ptlattice.analysis import default_fit_window, half_asymmetry, localization_constant
-from conftest import gain_chain, nnn_chain
+from ptlattice.analysis import (
+    _select_fit_state,
+    default_fit_window,
+    half_asymmetry,
+    localization_constant,
+)
+from ptlattice.eigen import solve
+from conftest import flux_ring, gain_chain, nnn_chain
 
 
 def test_mean_position_uniform():
@@ -147,6 +153,19 @@ def test_fit_scale_free_matches_profile():
     assert fit.status == "ok"
     assert fit.c_relative_spread < 0.05
     assert fit.im_scaling_exponent == pytest.approx(-1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("L", [60, 120, 240])
+def test_fit_state_independent_of_solve(L):
+    # the median-Im state has a mirror partner at -Re E whose Im agrees to
+    # roundoff; the complex and the real-basis solve must pick the same one
+    spec = flux_ring(L, 0.5 / L, 0.8)
+    H = build_hamiltonian(spec)
+    site = eig(H)
+    real, scale = solve(spec)
+    a = site.eigenvalues[_select_fit_state(site, frobenius_norm(H), spec.max_range)]
+    b = real.eigenvalues[_select_fit_state(real, scale, spec.max_range)]
+    assert abs(a - b) < 1e-10
 
 
 def test_fit_scale_free_requires_complex_states():

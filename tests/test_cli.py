@@ -175,6 +175,19 @@ def test_nonbloch_subcommand(tmp_path, capsys):
     assert sidecar["max_normalized_boundary_det"] < 1e-6
 
 
+@pytest.mark.parametrize("g_range", [[1.5, 0.0], [0.0, float("nan")]])
+def test_nonbloch_bad_g_range_exits_1(tmp_path, capsys, g_range):
+    doc = {
+        "model": flux_ring(24, 0.4, 0.8, phi=math.pi / 2).to_json_dict(),
+        "g_range": g_range,
+    }
+    cfg = _write(tmp_path, "n.json", doc)
+    out = tmp_path / "o"
+    assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 1
+    assert "g_range" in capsys.readouterr().err
+    assert not (out / "nonbloch.json").exists()
+
+
 def test_effective_subcommand(tmp_path, capsys):
     doc = {
         "model": flux_ring(60, 0.005, 0.5, phi=math.pi / 2).to_json_dict(),

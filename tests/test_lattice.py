@@ -13,6 +13,7 @@ from ptlattice import (
     eig,
     is_pt_symmetric,
 )
+from ptlattice.lattice import _matrix_is_pt_symmetric
 from conftest import flux_ring, gain_chain, nnn_chain
 
 
@@ -145,6 +146,18 @@ def test_pt_symmetry_cases():
     assert not is_pt_symmetric(gain_chain(10, g=1.0))
     assert is_pt_symmetric(nnn_chain(10, 1.0, 0.5, 0.8))
     assert is_pt_symmetric(flux_ring(10, 0.1, 0.5, phi=0.7))
+
+
+@pytest.mark.parametrize("L", [10, 11, 201])
+def test_pt_symmetry_tolerance(L):
+    # the upper-rows comparison sees a defect in the lower half too
+    H = build_hamiltonian(flux_ring(L, 0.1, 0.5, phi=0.7))
+    assert _matrix_is_pt_symmetric(H, 0.0)
+    H[-1, -1] += 1e-13
+    assert not _matrix_is_pt_symmetric(H, 0.0)
+    assert _matrix_is_pt_symmetric(H, 1e-12)
+    H[L // 2, 0] += 1e-3j
+    assert not _matrix_is_pt_symmetric(H, 1e-12)
 
 
 def test_json_round_trip():

@@ -148,29 +148,104 @@ def test_unitary_scan_hermitian_case_unbroken():
 
 
 def test_unitary_scan_matches_diagonalization():
-    L, theta, phi = 40, 0.5, math.pi / 2
-    res = unitary_scan(
-        {"t": 1.0, "g_range": (0.0, 1.5), "theta": theta, "phi": phi, "L": L}, 2000
-    )
-    assert res.broken_g_intervals, "expected a broken interval"
+    # at theta = 0.3, phi = pi/4 one real eigenstate below the broken
+    # interval is a real-beta bound state, off the unit circle
+    L = 40
     gs = np.linspace(0.0, 1.5, 101)
     cell = 1.5 / 500
-
-    def broken(g):
-        spec = flux_ring(L, theta, g, phi=phi)
-        H = build_hamiltonian(spec)
-        return classify_spectrum(eig(H), frobenius_norm(H)).p_com > 0
-
-    def in_scan(g):
-        return any(lo - cell <= g <= hi + cell for lo, hi in res.broken_g_intervals)
-
-    for g in gs:
-        near_edge = any(
-            min(abs(g - lo), abs(g - hi)) <= 2 * cell for lo, hi in res.broken_g_intervals
+    for theta, phi in ((0.5, math.pi / 2), (0.3, math.pi / 4)):
+        res = unitary_scan(
+            {"t": 1.0, "g_range": (0.0, 1.5), "theta": theta, "phi": phi, "L": L}, 2000
         )
-        if near_edge:
-            continue
-        assert broken(g) == in_scan(g), f"mismatch at g={g}"
+        assert res.broken_g_intervals, "expected a broken interval"
+
+        def broken(g):
+            spec = flux_ring(L, theta, g, phi=phi)
+            H = build_hamiltonian(spec)
+            return classify_spectrum(eig(H), frobenius_norm(H)).p_com > 0
+
+        def in_scan(g):
+            return any(lo - cell <= g <= hi + cell for lo, hi in res.broken_g_intervals)
+
+        for g in gs:
+            near_edge = any(
+                min(abs(g - lo), abs(g - hi)) <= 2 * cell
+                for lo, hi in res.broken_g_intervals
+            )
+            if near_edge:
+                continue
+            assert broken(g) == in_scan(g), f"mismatch at g={g}, theta={theta}, phi={phi}"
+
+
+def _reference_axis_count(g, t, theta, phi, L, n_kappa=2000):
+    """Real-beta bound states on a kappa grid rebuilt for each g: the
+    count the shared kappa grid of unitary_scan must reproduce."""
+    kappa_max = math.log(3.0 * (1.0 + abs(g) / t))
+    kappa = np.linspace(1e-6, kappa_max, n_kappa)
+    count = 0
+    for sign in (1.0, -1.0):
+        b = sign * np.exp(kappa)
+        binv = 1.0 / b
+        far = binv ** (2 * L)
+        d = (
+            g**2 * (binv - far * b)
+            - 2.0 * g * t * math.cos(phi) * (1.0 - far)
+            + t**2 * (1.0 + far - 2.0 * math.cos(theta * L) * binv**L) * (b - binv)
+        )
+        count += int(np.sum(d[:-1] * d[1:] < 0))
+    return count
+
+
+def _reference_intervals(t, theta, phi, L, lo, hi, n_gamma):
+    gs = np.linspace(lo, hi, 501)
+    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
+    s_pole = np.sin(gamma * (L - 1))
+    s_L = np.sin(gamma * L)
+    constant = 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
+    broken = np.zeros(len(gs), dtype=bool)
+    for i, g in enumerate(gs * t):
+        q = g**2 * s_pole - 2.0 * g * t * math.cos(phi) * s_L + constant
+        on_circle = int(np.sum(q[:-1] * q[1:] < 0))
+        # the axis count only matters while the circle count is short
+        broken[i] = on_circle < L and on_circle + _reference_axis_count(
+            g, t, theta, phi, L
+        ) < L
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
+    return [(float(gs[a]), float(gs[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
+
+
+@pytest.mark.parametrize("L", [40, 41])
+@pytest.mark.parametrize("theta", [0.3, 0.4])
+def test_unitary_scan_matches_per_g_kappa_grid(L, theta):
+    for phi in (0.0, math.pi / 4, math.pi / 2, math.pi):
+        res = unitary_scan(
+            {"t": 1.0, "g_range": (0.0, 2.0), "theta": theta, "phi": phi, "L": L}, 2000
+        )
+        want = _reference_intervals(1.0, theta, phi, L, 0.0, 2.0, max(2000, 50 * L))
+        assert list(res.broken_g_intervals) == want, f"phi={phi}"
+
+
+def test_crossings_through_sampled_roots():
+    from ptlattice.nonbloch import _crossings
+
+    def count(d):
+        # at g = 0 the determinant is its constant term C
+        d = np.array(d)
+        return _crossings((np.ones_like(d), np.ones_like(d), d), 0.0, 1.0, 0.0)
+
+    # a crossing through an exact-zero sample counts once, a touch not at all
+    assert count([2.0, 1.0, 0.0, -1.0, -2.0]) == 1
+    assert count([1.0, 0.0, 0.0, -1.0, 0.0, -3.0, 4.0]) == 2
+    assert count([-1.0, 0.0, -1.0]) == 0
+    assert count([0.0, 0.0, 0.0]) == 0
+
+
+@pytest.mark.parametrize("g_range", [(1.5, 0.0), (0.0, float("nan")), (1.0, 1.0)])
+def test_unitary_scan_rejects_bad_g_range(g_range):
+    with pytest.raises(ValueError, match="g_range"):
+        unitary_scan(
+            {"t": 1.0, "g_range": g_range, "theta": 0.3, "phi": 1.0, "L": 20}, 1000
+        )
 
 
 def test_unitary_scan_grid_shape():
