@@ -240,7 +240,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
 
 def _observed_onset(spec: ModelSpec, g_max: float, steps: int = 41) -> float | None:
     for g in np.linspace(0.0, g_max, steps):
-        spectrum, scale = solve(apply_parameter(spec, "g", float(g)))
+        spectrum, scale = solve(apply_parameter(spec, "g", float(g)), vectors=False)
         if classify_spectrum(spectrum, scale).n_com > 0:
             if g == 0:
                 return 0.0

@@ -271,7 +271,8 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     whose solution branches G(gamma) are reported on the grid.  g/t has a
     real spectrum only with L real eigenstates: crossings of g/t = G(gamma),
     gamma in (0, pi), plus real-beta bound states on one kappa grid.
-    ``broken_g_intervals`` are the g/t ranges where they are fewer.
+    ``broken_g_intervals`` are the g/t ranges where they are fewer.  ``t``
+    must be finite and positive, ``g_range`` finite with lo < hi.
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
@@ -280,8 +281,8 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     theta = float(params["theta"])
     phi = float(params["phi"])
     L = int(params["L"])
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
     if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
         raise ValueError(f"g_range needs two finite ends with lo < hi, got {[g_lo, g_hi]}")
 

@@ -7,6 +7,13 @@ per point on disk, keyed by a hash of the configuration, so interrupted
 sweeps resume; grids are deterministic regardless of worker count.  BLAS
 runs on one thread for the length of a sweep, so the worker pool is the
 only parallelism.
+
+Metrics that need only eigenvalues (MaxImE, and PCom/ThresholdCompare on
+periodic chains) are solved in stacks of ceil(501/L) consecutive points,
+one LAPACK call each and no eigenvectors: numpy releases the GIL for
+such a call only when stack size * L exceeds 500, and without that the
+pool threads would take turns.  Open-chain PCom/ThresholdCompare needs
+eigenvectors to find bound states and solves one point at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import classify_spectrum, continuous_complex_indices
-from .eigen import EigensolverError, _single_threaded_blas, solve
+from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_values
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
 
 __all__ = [
@@ -168,20 +175,48 @@ def config_hash(config: SweepConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _point_metric(config: SweepConfig, v1: float, v2: float) -> float:
-    spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
-    spec = apply_parameter(spec, config.axis2.parameter, v2)
-    spectrum, scale = solve(spec)
+def _values_only(config: SweepConfig) -> bool:
+    """True when the metric needs no eigenvectors (no bound-state test)."""
+    return config.metric is Metric.MAX_IM_E or config.base_model.boundary is not Boundary.OPEN
+
+
+def _stack_size(config: SweepConfig) -> int:
+    """Points per LAPACK call: the smallest k with k * L > 500 on the
+    values-only path (numpy's linalg releases the GIL only for a loop
+    longer than 500, so a smaller stack would hold it and serialize the
+    pool; larger stacks only cost memory), 1 on the vector path."""
+    return 500 // config.base_model.L + 1 if _values_only(config) else 1
+
+
+def _point_value(
+    config: SweepConfig, spec: ModelSpec, spectrum: Spectrum, scale: float
+) -> tuple[float, int]:
+    """The metric of one solved point, and its classification's near_cut
+    (0 for MaxImE, which does not classify)."""
     if config.metric is Metric.MAX_IM_E:
-        return float(np.max(np.abs(spectrum.eigenvalues.imag)))
+        return float(np.max(np.abs(spectrum.eigenvalues.imag))), 0
+    cls = classify_spectrum(spectrum, scale)
     if spec.boundary is Boundary.OPEN:
         n_com = len(continuous_complex_indices(spec, spectrum, scale))
     else:
-        n_com = classify_spectrum(spectrum, scale).n_com
+        n_com = cls.n_com
     p_com = n_com / spec.L
     if config.metric is Metric.THRESHOLD_COMPARE:
-        return 1.0 if p_com > 0 else 0.0
-    return p_com
+        return (1.0 if p_com > 0 else 0.0), cls.near_cut
+    return p_com, cls.near_cut
+
+
+def _chunk_metrics(
+    config: SweepConfig, points: list[tuple[float, float]]
+) -> list[tuple[float, int]]:
+    """(metric, near_cut) of each (v1, v2) point of one chunk, solved in
+    one stack on the values-only path and one by one otherwise."""
+    specs = []
+    for v1, v2 in points:
+        spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
+        specs.append(apply_parameter(spec, config.axis2.parameter, v2))
+    solved = solve_values(specs) if _values_only(config) else [solve(spec) for spec in specs]
+    return [_point_value(config, spec, *result) for spec, result in zip(specs, solved)]
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -223,7 +258,11 @@ def run_sweep(
     default when None), and BLAS is pinned to one thread while it runs.
     ``provenance`` records both: ``workers`` (0 when every point came from
     the cache) and ``blas_threads`` (1, or None when no OpenBLAS control
-    was found).
+    was found).  It also records ``stack``, the points per LAPACK call,
+    and, for PCom and ThresholdCompare, ``near_cut_points``: the
+    ``[i, j]`` of points solved in this run whose classification has
+    eigenvalues near the real/complex cut (``near_cut`` > 0).  Cached
+    points are not re-solved, so they are never listed there.
     """
     key = config_hash(config)
     v1s, v2s = config.axis1.values, config.axis2.values
@@ -241,49 +280,63 @@ def run_sweep(
         for j in range(len(v2s))
         if (i, j) not in cached
     ]
+    stack = _stack_size(config)
+    # consecutive points by index, so chunks do not depend on the workers
+    chunks = [todo[n : n + stack] for n in range(0, len(todo), stack)]
     diagnostics: list[str] = []
     lock = threading.Lock()
 
-    def worker(ij: tuple[int, int]) -> tuple[int, int, float]:
-        i, j = ij
+    def worker(chunk: list[tuple[int, int]]) -> list[tuple[int, int, float, int]]:
         try:
-            val = _point_metric(config, float(v1s[i]), float(v2s[j]))
+            solved = _chunk_metrics(config, [(float(v1s[i]), float(v2s[j])) for i, j in chunk])
         except EigensolverError as exc:
-            val = math.nan
+            if len(chunk) > 1:
+                # one bad matrix fails its whole stack: solve each point
+                # alone, so that only the failing points become NaN
+                return [row for ij in chunk for row in worker([ij])]
             with lock:
-                diagnostics.append(f"point ({i},{j}): {exc}")
-        return i, j, val
+                diagnostics.append(f"point ({chunk[0][0]},{chunk[0][1]}): {exc}")
+            solved = [(math.nan, 0)]
+        return [(i, j, val, near) for (i, j), (val, near) in zip(chunk, solved)]
 
     results = dict(cached)
+    near_cut_points = []
     workers = 0
     blas_threads = None
-    if todo:
+    if chunks:
         # ThreadPoolExecutor's own default when threads is None
         workers = threads if threads is not None else min(32, (os.cpu_count() or 1) + 4)
         with _single_threaded_blas() as blas_threads, ThreadPoolExecutor(workers) as pool:
-            for i, j, val in pool.map(worker, todo):
-                results[(i, j)] = val
+            for rows in pool.map(worker, chunks):
+                for i, j, val, near in rows:
+                    results[(i, j)] = val
+                    if near > 0:
+                        near_cut_points.append([i, j])
                 if cache_file is not None:
                     with lock, cache_file.open("a") as fh:
-                        fh.write(f"{i},{j},{val:.17g}\n")
+                        fh.writelines(f"{i},{j},{val:.17g}\n" for i, j, val, _ in rows)
 
     grid = np.full((len(v1s), len(v2s)), math.nan)
     for i, j in np.ndindex(grid.shape):
         grid[i, j] = results[(i, j)]
     from . import __version__
 
+    provenance = {
+        "config_hash": key,
+        "version": __version__,
+        "workers": workers,
+        "blas_threads": blas_threads,
+        "stack": stack,
+        "nan_points": np.argwhere(np.isnan(grid)).tolist(),
+    }
+    if config.metric is not Metric.MAX_IM_E:
+        provenance["near_cut_points"] = near_cut_points
     return PhaseGrid(
         axis1=config.axis1,
         axis2=config.axis2,
         metric=config.metric,
         values=grid,
-        provenance={
-            "config_hash": key,
-            "version": __version__,
-            "workers": workers,
-            "blas_threads": blas_threads,
-            "nan_points": np.argwhere(np.isnan(grid)).tolist(),
-        },
+        provenance=provenance,
         diagnostics=tuple(diagnostics),
     )
 

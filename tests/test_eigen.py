@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from ptlattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian, eig, frobenius_norm
-from ptlattice.eigen import RESIDUAL_FACTOR, EigensolverError, _checked_matrix, eigvals, solve
+from ptlattice.eigen import (
+    RESIDUAL_FACTOR,
+    EigensolverError,
+    _checked_matrix,
+    _real_pt_form,
+    eigvals,
+    solve,
+    solve_values,
+)
 from ptlattice.sweep import apply_parameter
 from conftest import flux_ring, gain_chain, nnn_chain
 
@@ -135,6 +143,67 @@ def test_eigvals_trace_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda A: true + 1e-9)
     with pytest.raises(EigensolverError, match="trace"):
         eigvals(H)
+
+
+def _stack(dtype, n, L, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, L, L))
+    if dtype is complex:
+        A = A + 1j * rng.normal(size=(n, L, L))
+    return A
+
+
+@pytest.mark.parametrize("L", [1, 7, 100])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigvals_stack_is_per_matrix_bit_for_bit(dtype, L):
+    stack = _stack(dtype, 6, L, seed=L)
+    values = eigvals(stack)
+    assert values.shape == (6, L) and values.dtype == np.complex128
+    for k in range(6):
+        assert np.array_equal(values[k], eigvals(stack[k]))
+    # a stack of one is the same call as a single matrix
+    assert np.array_equal(eigvals(stack[2:3])[0], values[2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigvals_stack_rejects_non_finite_member(bad):
+    stack = _stack(complex, 4, 7, seed=1)
+    stack[2, 3, 1] = bad
+    with pytest.raises(ValueError, match="stack member 2"):
+        eigvals(stack)
+    with pytest.raises(ValueError):
+        eigvals(np.zeros((2, 3, 4)))
+
+
+def test_eigvals_stack_trace_check(monkeypatch):
+    stack = _stack(float, 5, 20, seed=2)
+    true = np.linalg.eigvals(stack)
+    true[3, 0] += 1e-9  # one member off by more than its trace tolerance
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: true)
+    with pytest.raises(EigensolverError, match="trace check failed \\(stack member 3\\)"):
+        eigvals(stack)
+
+
+def test_solve_values_mixes_pt_and_other_models():
+    L = 30
+    specs = [
+        flux_ring(L, 0.5 / L, 0.8),
+        gain_chain(L, g=1.5),  # not PT-symmetric: the complex stack
+        nnn_chain(L, 1.0, 0.5, 0.4),
+        flux_ring(L, 0.2 / L, 0.0),
+    ]
+    solved = solve_values(specs)
+    assert [s.real_basis for s, _ in solved] == [True, False, True, True]
+    for spec, (spectrum, scale) in zip(specs, solved):
+        H = build_hamiltonian(spec)
+        assert spectrum.eigenvectors is None and spectrum.residuals is None
+        assert scale == frobenius_norm(H)
+        alone = eigvals(_real_pt_form(H) if spectrum.real_basis else H)
+        assert np.array_equal(spectrum.eigenvalues, alone)
+        single, single_scale = solve(spec, vectors=False)
+        assert np.array_equal(single.eigenvalues, alone) and single_scale == scale
+    with pytest.raises(ValueError, match="one size"):
+        solve_values([flux_ring(L, 0.1, 0.5), flux_ring(L + 1, 0.1, 0.5)])
 
 
 def _nearest_distance(a, b):

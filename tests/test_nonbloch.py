@@ -240,11 +240,21 @@ def test_crossings_through_sampled_roots():
     assert count([0.0, 0.0, 0.0]) == 0
 
 
-@pytest.mark.parametrize("g_range", [(1.5, 0.0), (0.0, float("nan")), (1.0, 1.0)])
-def test_unitary_scan_rejects_bad_g_range(g_range):
-    with pytest.raises(ValueError, match="g_range"):
+@pytest.mark.parametrize(
+    "t, g_range, match",
+    [
+        pytest.param(1.0, (1.5, 0.0), "g_range", id="g_range0"),
+        pytest.param(1.0, (0.0, float("nan")), "g_range", id="g_range1"),
+        pytest.param(1.0, (1.0, 1.0), "g_range", id="g_range2"),
+        # a negative t once gave the t = 1 intervals negated, high end first
+        pytest.param(-1.0, (0.0, 1.5), "t must", id="t_negative"),
+        pytest.param(float("nan"), (0.0, 1.5), "t must", id="t_nan"),
+    ],
+)
+def test_unitary_scan_rejects_bad_g_range(t, g_range, match):
+    with pytest.raises(ValueError, match=match):
         unitary_scan(
-            {"t": 1.0, "g_range": g_range, "theta": 0.3, "phi": 1.0, "L": 20}, 1000
+            {"t": t, "g_range": g_range, "theta": 0.3, "phi": 1.0, "L": 20}, 1000
         )
 
 

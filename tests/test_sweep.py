@@ -1,14 +1,24 @@
 import json
 import math
 import threading
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
-from ptlattice import AxisSpec, Metric, PhaseGrid, SweepConfig, run_sweep, threshold_extract
+from ptlattice import (
+    AxisSpec,
+    Metric,
+    ModelSpec,
+    PhaseGrid,
+    SweepConfig,
+    run_sweep,
+    threshold_extract,
+)
 from ptlattice import sweep
+from ptlattice.analysis import classify_spectrum
 from ptlattice.cli import main
-from ptlattice.eigen import EigensolverError, _openblas_thread_controls
+from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve
 from ptlattice.sweep import (
     apply_parameter,
     config_hash,
@@ -16,7 +26,7 @@ from ptlattice.sweep import (
     write_grid_csv,
     write_grid_sidecar,
 )
-from conftest import flux_ring
+from conftest import flux_ring, nnn_chain
 
 needs_openblas = pytest.mark.skipif(
     _openblas_thread_controls() is None, reason="no OpenBLAS thread control found in numpy"
@@ -161,10 +171,10 @@ def test_sweep_restores_blas_threads(monkeypatch):
         run_sweep(_small_config(), threads=2)
         assert get() == before
 
-        def broken(config, v1, v2):
+        def broken(config, points):
             raise RuntimeError("worker failure")
 
-        monkeypatch.setattr(sweep, "_point_metric", broken)
+        monkeypatch.setattr(sweep, "_chunk_metrics", broken)
         with pytest.raises(RuntimeError, match="worker failure"):
             run_sweep(_small_config(), threads=2)
         assert get() == before
@@ -178,11 +188,11 @@ def test_sweep_workers_see_one_blas_thread(monkeypatch, threads):
     get, _ = _openblas_thread_controls()
     seen = []
 
-    def probe(config, v1, v2):
-        seen.append(get())
-        return 0.0
+    def probe(config, points):
+        seen.extend(get() for _ in points)
+        return [(0.0, 0)] * len(points)
 
-    monkeypatch.setattr(sweep, "_point_metric", probe)
+    monkeypatch.setattr(sweep, "_chunk_metrics", probe)
     grid = run_sweep(_small_config(), threads=threads)
     assert seen == [1] * 15
     assert grid.provenance["workers"] == threads
@@ -197,13 +207,13 @@ def test_concurrent_sweeps_restore_blas_threads(monkeypatch):
     inside = []
     gate = threading.Barrier(2, timeout=30)
 
-    def probe(config, v1, v2):
-        if v1 == config.axis1.min and v2 == config.axis2.min:
+    def probe(config, points):
+        if (config.axis1.min, config.axis2.min) in points:
             gate.wait()
-        inside.append(get())
-        return 0.0
+        inside.extend(get() for _ in points)
+        return [(0.0, 0)] * len(points)
 
-    monkeypatch.setattr(sweep, "_point_metric", probe)
+    monkeypatch.setattr(sweep, "_chunk_metrics", probe)
     try:
         set_(2)
         runners = [threading.Thread(target=run_sweep, args=(_small_config(), 1)) for _ in range(2)]
@@ -227,6 +237,106 @@ def test_sweep_provenance(tmp_path):
     resumed = run_sweep(cfg, threads=3, cache_dir=tmp_path)
     assert resumed.provenance["workers"] == 0
     assert resumed.provenance["blas_threads"] is None
+
+
+def _ring_config(metric, pt=True, L=60):
+    base = flux_ring(L, 0.3 / L, 0.5)
+    if not pt:  # gain e^{i phi} on site 1 only
+        doc = base.to_json_dict()
+        doc["perturbations"] = doc["perturbations"][:1]
+        base = ModelSpec.from_json_dict(doc)
+    return SweepConfig(
+        base_model=base,
+        axis1=AxisSpec("flux_theta", 0.2 / L, 1.0 / L, 3),
+        axis2=AxisSpec("g", 0.0, 1.5, 7),
+        metric=Metric(metric),
+    )
+
+
+def _per_point_reference(config):
+    """The grid and near-cut points from one vector solve(spec) per point."""
+    values = np.empty((config.axis1.steps, config.axis2.steps))
+    near = []
+    for i, v1 in enumerate(config.axis1.values):
+        for j, v2 in enumerate(config.axis2.values):
+            spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
+            spectrum, scale = solve(apply_parameter(spec, config.axis2.parameter, v2))
+            cls = classify_spectrum(spectrum, scale)
+            if config.metric is Metric.MAX_IM_E:
+                values[i, j] = np.max(np.abs(spectrum.eigenvalues.imag))
+            elif config.metric is Metric.PCOM:
+                values[i, j] = cls.n_com / spec.L
+            else:
+                values[i, j] = 1.0 if cls.n_com > 0 else 0.0
+            if cls.near_cut > 0:
+                near.append([i, j])
+    return values, near
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("metric", ["PCom", "MaxImE", "ThresholdCompare"])
+@pytest.mark.parametrize("pt", [True, False], ids=["pt_ring", "non_pt_ring"])
+def test_values_only_sweep_matches_per_point_solve(pt, metric, threads):
+    # L = 60: stacks of 9, so the 21 points make chunks of 9, 9 and 3
+    config = _ring_config(metric, pt)
+    grid = run_sweep(config, threads=threads)
+    values, near = _per_point_reference(config)
+    assert grid.provenance["stack"] == 9
+    assert np.array_equal(grid.values, values)
+    if metric == "MaxImE":
+        assert "near_cut_points" not in grid.provenance
+    else:
+        assert grid.provenance["near_cut_points"] == near
+
+
+def test_stack_size():
+    def stack(L, metric="PCom", chain=False):
+        base = nnn_chain(L, 1.0, 0.5, 0.3) if chain else flux_ring(L, 0.1, 0.5)
+        axis = AxisSpec("g", 0.0, 1.0, 2)
+        return sweep._stack_size(SweepConfig(base, axis, axis, Metric(metric)))
+
+    assert [stack(L) for L in (20, 100, 167, 250, 500, 501, 800)] == [26, 6, 3, 3, 2, 1, 1]
+    assert stack(100, "ThresholdCompare") == 6
+    # open chains need eigenvectors for the bound-state test, except MaxImE
+    assert stack(100, chain=True) == 1
+    assert stack(100, "ThresholdCompare", chain=True) == 1
+    assert stack(100, "MaxImE", chain=True) == 6
+
+
+def test_sweep_near_cut_points(monkeypatch, tmp_path):
+    # ||H||_F of the ring depends on g alone, so the patched classification
+    # reports near-cut eigenvalues in the column j = 3 only
+    cfg = _small_config()
+    assert run_sweep(cfg, threads=1).provenance["near_cut_points"] == []
+    marked = solve(apply_parameter(cfg.base_model, "g", float(cfg.axis2.values[3])))[1]
+    original = sweep.classify_spectrum
+
+    def classify(spectrum, scale, tol_imag=None):
+        near = int(math.isclose(scale, marked, rel_tol=1e-12))
+        return dc_replace(original(spectrum, scale, tol_imag), near_cut=near)
+
+    monkeypatch.setattr(sweep, "classify_spectrum", classify)
+    grid = run_sweep(cfg, threads=2, cache_dir=tmp_path)
+    assert grid.provenance["near_cut_points"] == [[0, 3], [1, 3], [2, 3]]
+    # cached points are not re-solved, so only the dropped one is listed
+    cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
+    cache.write_text("".join(f"{l}\n" for l in cache.read_text().splitlines() if l[:4] != "1,3,"))
+    resumed = run_sweep(cfg, threads=2, cache_dir=tmp_path)
+    assert resumed.provenance["near_cut_points"] == [[1, 3]]
+    assert np.array_equal(resumed.values, grid.values)
+
+
+def test_sweep_resumes_cache_cut_mid_chunk(tmp_path):
+    config = _ring_config("MaxImE")
+    fresh = run_sweep(config, threads=1)
+    cache = tmp_path / f"sweep_{config_hash(config)}.csv"
+    run_sweep(config, threads=2, cache_dir=tmp_path)
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 21
+    cache.write_text("\n".join(lines[:13]) + "\n")  # 9 + 4 of the second chunk of 9
+    resumed = run_sweep(config, threads=2, cache_dir=tmp_path)
+    assert np.array_equal(resumed.values, fresh.values)
+    assert cache.read_text().splitlines() == lines
 
 
 def test_config_hash_stability():
@@ -281,17 +391,18 @@ def test_uncertain_onsets_synthetic():
 
 
 def _failing_at(monkeypatch, points):
-    """Make _point_metric raise EigensolverError at the given (i, j) points."""
+    """Make _chunk_metrics raise EigensolverError on any chunk that holds
+    one of the given (i, j) points, as one bad matrix fails its stack."""
     cfg = _small_config()
     bad = {(float(cfg.axis1.values[i]), float(cfg.axis2.values[j])) for i, j in points}
-    original = sweep._point_metric
+    original = sweep._chunk_metrics
 
-    def flaky(config, v1, v2):
-        if (v1, v2) in bad:
+    def flaky(config, chunk):
+        if bad.intersection(chunk):
             raise EigensolverError("QR iteration did not converge")
-        return original(config, v1, v2)
+        return original(config, chunk)
 
-    monkeypatch.setattr(sweep, "_point_metric", flaky)
+    monkeypatch.setattr(sweep, "_chunk_metrics", flaky)
     return cfg
 
 
