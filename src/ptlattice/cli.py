@@ -25,7 +25,7 @@ from .analysis import (
 from .bands import criterion_check
 from .eigen import EigensolverError, solve
 from .lattice import ModelSpec
-from .nonbloch import boundary_determinant, characteristic_roots, unitary_scan
+from .nonbloch import _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
     apply_parameter,
@@ -218,11 +218,8 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
         for gm, p, m, d in result.csv_rows():
             fh.write(f"{_fmt(gm)},{_fmt(p)},{_fmt(m)},{d}\n")
 
-    spectrum, _ = solve(spec)
-    worst = 0.0
-    for E in spectrum.eigenvalues:
-        det = boundary_determinant(spec, characteristic_roots(spec.hoppings, complex(E)))
-        worst = max(worst, det.normalized_magnitude)
+    spectrum, _ = solve(spec, vectors=False)
+    worst, ill = _spectrum_audit(spec, spectrum.eigenvalues)
     _sidecar(
         out,
         "nonbloch.json",
@@ -231,6 +228,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
             "g": g,
             "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
             "max_normalized_boundary_det": worst,
+            "ill_conditioned": ill,
         },
         args.override,
     )

@@ -54,6 +54,7 @@ __all__ = [
 RESIDUAL_FACTOR = 1e-8
 TRACE_FACTOR = 100.0
 _SQRT2 = float(np.sqrt(2.0))
+_EPS = float(np.finfo(float).eps)
 
 # (get, set) thread-count symbols of the ILP64 OpenBLAS that numpy wheels
 # bundle: scipy-openblas in numpy 2.x, openblas64_ in numpy 1.x.
@@ -107,7 +108,7 @@ def _checked_matrix(H: np.ndarray, stack: bool = False) -> np.ndarray:
     if H.size < 1:
         raise ValueError("empty matrix")
     finite = np.isfinite(H).all(axis=(-2, -1))
-    if not np.all(finite):
+    if not finite.all():
         where = "" if H.ndim == 2 else f" (stack member {int(np.argmin(finite))})"
         raise ValueError(f"matrix contains non-finite entries{where}")
     return H
@@ -170,10 +171,10 @@ def eigvals(H: np.ndarray) -> np.ndarray:
         raise EigensolverError(f"QR iteration did not converge: {exc}") from exc
     values = values.astype(np.complex128, copy=False)
     values = np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), -1)
-    miss = np.abs(np.sum(values, axis=-1) - np.trace(H, axis1=-2, axis2=-1))
+    miss = abs(values.sum(axis=-1) - H.trace(axis1=-2, axis2=-1))
     norms = np.linalg.norm(H, axis=(-2, -1))
-    tol = TRACE_FACTOR * np.finfo(float).eps * H.shape[-1] * norms
-    if np.any(miss > tol):
+    tol = TRACE_FACTOR * _EPS * H.shape[-1] * norms
+    if (miss > tol).any():
         k = int(np.argmax(miss - tol))
         where = "" if H.ndim == 2 else f" (stack member {k})"
         raise EigensolverError(

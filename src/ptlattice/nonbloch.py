@@ -11,11 +11,18 @@ scan and an asymptotic large-L solver for the broken branch
 beta = exp(i*gamma + delta/L).  The scan counts real eigenstates on the
 unit circle plus real-beta bound states on one kappa grid (Yokomizo &
 Murakami, PRL 123, 066404 (2019)).
+
+The oracle is batched: N energies take one values-only :func:`eigvals`
+call on the stack of companion matrices, array-wide Newton steps, and one
+(N, 2M, 2M) stack of boundary matrices.  ``ptlattice nonbloch`` audits a
+whole spectrum that way; :func:`characteristic_roots` and
+:func:`boundary_determinant` are the same code on a stack of one.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .eigen import eig
-from .lattice import Boundary, HoppingSet, ModelSpec
+from .eigen import eigvals
+from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
 
 __all__ = [
     "BetaRootSet",
@@ -40,6 +47,7 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _EP_ROOT_TOL = 1e-10
 _POLE_TOL = 1e-14
+_TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
 _N_G = 501  # g/t grid of the broken-interval count
 
 
@@ -47,8 +55,9 @@ _N_G = 501  # g/t grid of the broken-interval count
 class BetaRootSet:
     """All 2M roots of the bulk dispersion at a fixed energy.
 
-    Roots are sorted ascending by |beta|, ties broken by ascending phase
-    in [0, 2pi).
+    Roots are sorted ascending by |beta|, ties (magnitudes within a
+    relative 1e-12 of the previous root) broken by ascending phase in
+    [0, 2pi).
     """
 
     energy: complex
@@ -57,13 +66,7 @@ class BetaRootSet:
 
     def dispersion_residual(self) -> float:
         """Max |E(beta) - E| over the stored roots."""
-        worst = 0.0
-        for b in self.roots:
-            val = sum(
-                t * b**n + np.conj(t) * b ** (-n) for n, t in self.hoppings.items()
-            )
-            worst = max(worst, abs(val - self.energy))
-        return worst
+        return float(np.max(np.abs(_dispersion(self.hoppings, np.array(self.roots)) - self.energy)))
 
     def pairing_defect(self) -> float:
         """Distance of the root multiset from closure under b -> 1/conj(b).
@@ -127,57 +130,92 @@ def characteristic_roots(h: HoppingSet, E: complex) -> BetaRootSet:
     """All 2M roots beta of sum_n t_n b^(M+n) + conj(t_n) b^(M-n) = E b^M.
 
     Roots come from the companion matrix of the monic polynomial and are
-    polished by a few Newton steps.
+    polished by a few Newton steps; a stack of one in :func:`_root_stack`.
     """
     E = complex(E)
-    if not (math.isfinite(E.real) and math.isfinite(E.imag)):
-        raise ValueError("energy must be finite")
+    roots = _root_stack(h, np.array([E]))[0]
+    return BetaRootSet(energy=E, roots=tuple(roots.tolist()), hoppings=h)
+
+
+def _dispersion(h: HoppingSet, roots: np.ndarray) -> np.ndarray:
+    """E(beta) = sum_n t_n beta^n + conj(t_n) beta^(-n), elementwise."""
+    return sum(t * roots**n + t.conjugate() * roots ** (-n) for n, t in h.items())
+
+
+def _horner(columns: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Polynomials at ``x`` by Horner's rule, in np.polyval's order, from
+    their coefficient ``columns`` (highest degree first)."""
+    y = columns[0]
+    for c in columns[1:]:
+        y = y * x + c
+    return y
+
+
+def _root_stack(h: HoppingSet, energies: np.ndarray) -> np.ndarray:
+    """(N, 2M) roots of the characteristic polynomial at N energies, each
+    row as :func:`characteristic_roots` orders it.
+
+    One :func:`eigvals` call on the (N, 2M, 2M) stack of companion matrices,
+    three Newton steps against the unreduced polynomial, then the residual
+    check |E(beta) - E| <= 1e-9 (1 + |E|) on every row.
+    """
+    energies = np.asarray(energies, dtype=np.complex128)
+    finite = np.isfinite(energies)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"energy must be finite, got {complex(energies[k])} at index {k}")
     M = h.max_range
-    # coeffs[d] multiplies beta^d, d = 0..2M
-    coeffs = np.zeros(2 * M + 1, dtype=complex)
+    N = len(energies)
+    # coeffs[:, d] multiplies beta^d, d = 0..2M
+    base = np.zeros(2 * M + 1, dtype=complex)
     for n, t in h.items():
-        coeffs[M + n] += t
-        coeffs[M - n] += np.conj(t)
-    coeffs[M] -= E
-    monic = coeffs / coeffs[2 * M]
+        base[M + n] += t
+        base[M - n] += np.conj(t)
+    coeffs = np.empty((N, 2 * M + 1), dtype=complex)
+    coeffs[:] = base
+    coeffs[:, M] -= energies
+    monic = coeffs / coeffs[:, 2 * M :]
 
-    companion = np.zeros((2 * M, 2 * M), dtype=complex)
-    if 2 * M > 1:
-        companion[1:, :-1] = np.eye(2 * M - 1)
-    companion[:, -1] = -monic[: 2 * M]
-    roots = eig(companion).eigenvalues
+    companion = np.zeros((N, 2 * M, 2 * M), dtype=complex)
+    companion.reshape(N, -1)[:, 2 * M :: 2 * M + 1] = 1.0  # the subdiagonal
+    companion[:, :, -1] = -monic[:, : 2 * M]
+    roots = eigvals(companion)
 
-    # Newton polish against the original (unreduced) polynomial.
-    poly = coeffs[::-1]  # highest degree first, for polyval
-    dpoly = np.polyder(poly)
+    # Newton polish against the original (unreduced) polynomial p; p and
+    # p' (padded with a leading zero) are evaluated in one Horner pass.
+    polys = np.zeros((2, N, 2 * M + 1), dtype=complex)
+    polys[0] = coeffs[:, ::-1]
+    polys[1, :, 1:] = polys[0, :, :-1] * np.arange(2 * M, 0, -1)
+    columns = [polys[..., d, None] for d in range(2 * M + 1)]
     for _ in range(3):
-        p = np.polyval(poly, roots)
-        dp = np.polyval(dpoly, roots)
-        step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        roots = roots - step
+        p, dp = _horner(columns, roots)
+        roots = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
-    scale = 1.0 + abs(E)
-    result = BetaRootSet(
-        energy=E,
-        roots=tuple(
-            sorted(
-                (complex(b) for b in roots),
-                key=lambda b: (abs(b), cmath.phase(b) % (2 * math.pi)),
-            )
-        ),
-        hoppings=h,
-    )
-    if result.dispersion_residual() > _RESIDUAL_TOL * scale:
+    residual = abs(_dispersion(h, roots) - energies[:, None]).max(axis=1)
+    bad = ~(residual <= _RESIDUAL_TOL * (1.0 + abs(energies)))  # NaN fails too
+    if bad.any():
+        k = int(np.argmax(bad))
+        tol = _RESIDUAL_TOL * (1.0 + abs(energies[k]))
         raise RuntimeError(
-            f"root residual {result.dispersion_residual():.3e} exceeds "
-            f"{_RESIDUAL_TOL * scale:.3e} at E={E}"
+            f"root residual {residual[k]:.3e} exceeds {tol:.3e} "
+            f"at E={complex(energies[k])}"
         )
-    return result
+    return _sorted_roots(roots)
 
 
-def _scaled_power(beta: complex, p: int, L: int) -> complex:
-    """beta^p * |beta|^(-L/2), computed in log form."""
-    return cmath.exp(p * cmath.log(beta) - 0.5 * L * math.log(abs(beta)))
+def _sorted_roots(roots: np.ndarray) -> np.ndarray:
+    """Each row sorted by |beta|; a root whose magnitude is within _TIE_TOL
+    (relative) of the previous one ties with it, and ties go by ascending
+    phase in [0, 2pi)."""
+    rows = np.arange(len(roots))[:, None]
+    roots = roots[rows, np.argsort(abs(roots), axis=1, kind="stable")]
+    mags = abs(roots)
+    tied = mags[:, 1:] - mags[:, :-1] <= _TIE_TOL * mags[:, :-1]
+    if not tied.any():
+        return roots
+    tie_group = np.zeros(mags.shape, dtype=np.intp)
+    np.cumsum(~tied, axis=1, out=tie_group[:, 1:])
+    return roots[rows, np.lexsort((np.angle(roots) % TWO_PI, tie_group), axis=-1)]
 
 
 def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDeterminant:
@@ -189,33 +227,32 @@ def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDete
     boundary-localized perturbation entries and, on a ring, the wrap-around
     hops carrying the total flux phase exp(+-i*theta*L).  The determinant
     vanishes exactly when the energy is an eigenvalue of the full model.
+    A stack of one in :func:`_boundary_stack`.
     """
+    if len(beta_set.roots) != 2 * spec.hoppings.max_range:
+        raise ValueError("root set does not match the hopping range")
+    value, log_scale, norms, ill = _boundary_stack(spec, np.array([beta_set.roots], complex))
+    return BoundaryDeterminant(
+        value=complex(value[0]),
+        log_scale=float(log_scale[0]),
+        column_norms=tuple(norms[0].tolist()),
+        ill_conditioned=bool(ill[0]),
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(p, C) with row r of the boundary matrix = sum_k C[r, k] beta^p[k, 0]:
+    the residual equations at the M leftmost and M rightmost sites, including
+    any boundary-localized perturbation and, on a ring, the wrap-around hops
+    carrying the total flux phase exp(+-i*theta*L).  Read-only arrays,
+    cached per spec for the per-energy :func:`boundary_determinant`."""
     M = spec.hoppings.max_range
     L = spec.L
-    roots = beta_set.roots
-    if len(roots) != 2 * M:
-        raise ValueError("root set does not match the hopping range")
-    if any(b == 0 for b in roots):
-        raise ValueError("zero beta root")
-    ill = False
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if abs(roots[a] - roots[b]) < _EP_ROOT_TOL:
-                ill = True
-    if ill:
-        warnings.warn(
-            "coincident beta roots: boundary matrix is ill-conditioned "
-            "(exceptional-point vicinity)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
     periodic = spec.boundary is Boundary.PERIODIC
-    theta_L = spec.flux_theta * L
-    wrap = cmath.exp(1j * theta_L)
+    wrap = cmath.exp(1j * spec.flux_theta * L)
     left_rows = set(range(1, M + 1))
     right_rows = set(range(L - M + 1, L + 1))
-    boundary_rows = sorted(left_rows | right_rows)
 
     # Gauge frame with bare bulk hoppings: perturbations pick up the phase
     # exp(i*theta*(i - j)).
@@ -229,35 +266,74 @@ def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDete
         amp = p.amplitude * cmath.exp(1j * spec.flux_theta * (p.site_i - p.site_j))
         pert_by_row.setdefault(p.site_i, []).append((p.site_j, amp))
 
-    F = np.zeros((2 * M, 2 * M), dtype=complex)
-    for r, j in enumerate(boundary_rows):
-        for s, beta in enumerate(roots):
-            val = 0.0 + 0.0j
-            if j in left_rows:
-                for n, t in spec.hoppings.items():
-                    if n >= j:
-                        val -= np.conj(t) * _scaled_power(beta, j - n, L)
-                        if periodic:
-                            val += np.conj(t) * np.conj(wrap) * _scaled_power(
-                                beta, j - n + L, L
-                            )
-            else:
-                for n, t in spec.hoppings.items():
-                    if n >= L + 1 - j:
-                        val -= t * _scaled_power(beta, j + n, L)
-                        if periodic:
-                            val += t * wrap * _scaled_power(beta, j + n - L, L)
-            for m, amp in pert_by_row.get(j, ()):
-                val += amp * _scaled_power(beta, m, L)
-            F[r, s] = val
+    terms: list[tuple[int, int, complex]] = []  # (row, power, coefficient)
+    for r, j in enumerate(sorted(left_rows | right_rows)):
+        if j in left_rows:
+            for n, t in spec.hoppings.items():
+                if n >= j:
+                    terms.append((r, j - n, -np.conj(t)))
+                    if periodic:
+                        terms.append((r, j - n + L, np.conj(t) * np.conj(wrap)))
+        else:
+            for n, t in spec.hoppings.items():
+                if n >= L + 1 - j:
+                    terms.append((r, j + n, -t))
+                    if periodic:
+                        terms.append((r, j + n - L, t * wrap))
+        terms.extend((r, m, amp) for m, amp in pert_by_row.get(j, ()))
 
-    log_scale = 0.5 * L * sum(math.log(abs(b)) for b in roots)
-    return BoundaryDeterminant(
-        value=complex(np.linalg.det(F)),
-        log_scale=log_scale,
-        column_norms=tuple(float(n) for n in np.linalg.norm(F, axis=0)),
-        ill_conditioned=ill,
-    )
+    powers = sorted({p for _, p, _ in terms})
+    C = np.zeros((2 * M, len(powers)), dtype=complex)
+    for r, p, c in terms:
+        C[r, powers.index(p)] += c
+    powers = np.array(powers, dtype=float)[:, None]
+    powers.flags.writeable = C.flags.writeable = False
+    return powers, C
+
+
+def _boundary_stack(spec: ModelSpec, roots: np.ndarray):
+    """Scaled boundary matrices of N root sets, as (value, log_scale,
+    column_norms, ill_conditioned) arrays of shapes (N,), (N,), (N, 2M), (N,).
+
+    Column s of a matrix is C beta_s^p |beta_s|^(-L/2) (see
+    :func:`_boundary_coefficients`), computed in log form; row k of each
+    array is :func:`boundary_determinant` of ``roots[k]``.  One
+    RuntimeWarning, with the count, covers every ill-conditioned row.
+    """
+    N, n_roots = roots.shape
+    if not roots.all():
+        k = int(np.argmin(roots.all(axis=1)))
+        raise ValueError(f"zero beta root in root set {k}")
+    # coincident pairs; each root also matches itself once
+    close = np.abs(roots[:, :, None] - roots[:, None, :]) < _EP_ROOT_TOL
+    ill = close.sum(axis=(1, 2)) > n_roots
+    if ill.any():
+        warnings.warn(
+            f"coincident beta roots at {int(ill.sum())} of {N} energies: boundary "
+            "matrix is ill-conditioned (exceptional-point vicinity)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    powers, C = _boundary_coefficients(spec)
+    log_abs = np.log(np.abs(roots))
+    half_L = 0.5 * spec.L
+    # (N, P, 2M): beta_s^p |beta_s|^(-L/2) for each power p
+    scaled = np.exp(powers * np.log(roots)[:, None] - half_L * log_abs[:, None])
+    F = C @ scaled
+    return np.linalg.det(F), half_L * log_abs.sum(axis=1), np.linalg.norm(F, axis=1), ill
+
+
+def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, int]:
+    """The oracle on a whole spectrum in one batched pass: the largest
+    normalized boundary determinant (see
+    :attr:`BoundaryDeterminant.normalized_magnitude`) over ``energies``, and
+    how many of them have an ill-conditioned boundary matrix."""
+    value, _, norms, ill = _boundary_stack(spec, _root_stack(spec.hoppings, energies))
+    prod = np.prod(norms, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitude = np.where(prod == 0, math.inf, np.abs(value) / prod)
+    return float(np.max(magnitude)), int(np.count_nonzero(ill))
 
 
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:

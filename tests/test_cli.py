@@ -173,6 +173,7 @@ def test_nonbloch_subcommand(tmp_path, capsys):
     assert (out / "unitary_scan.csv").exists()
     sidecar = json.loads((out / "nonbloch.json").read_text())
     assert sidecar["max_normalized_boundary_det"] < 1e-6
+    assert sidecar["ill_conditioned"] == 0
 
 
 @pytest.mark.parametrize("g_range", [[1.5, 0.0], [0.0, float("nan")]])

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptlattice import (
+    BetaRootSet,
     HoppingSet,
     boundary_determinant,
     build_hamiltonian,
@@ -18,8 +21,9 @@ from ptlattice import (
     asymptotic_broken_solver,
 )
 from ptlattice.analysis import localization_constant
-from ptlattice.nonbloch import asymptotic_energy
-from conftest import flux_ring
+from ptlattice import nonbloch
+from ptlattice.nonbloch import _boundary_stack, _root_stack, _spectrum_audit, asymptotic_energy
+from conftest import flux_ring, gain_chain, nnn_chain
 
 
 NN = HoppingSet(terms=((1, 1.0 + 0j),))
@@ -85,6 +89,97 @@ def test_roots_satisfy_dispersion_property(er, ei, t2r, t2i):
     tM = h.amplitude(M)
     prod = np.prod(rs.roots)
     assert abs(abs(prod) - abs(np.conj(tM) / tM)) < 1e-5
+
+
+@pytest.mark.parametrize("t2", [0.0, 0.5], ids=["nn", "t2=0.5"])
+def test_root_ties_ordered_by_phase(t2):
+    # on the band the roots come in |beta| = 1 pairs (and, with t2, a
+    # reciprocal real pair): magnitudes that tie up to roundoff go by phase
+    h = HoppingSet(terms=((1, 1.0 + 0j), (2, t2 + 0j)) if t2 else ((1, 1.0 + 0j),))
+    ties = 0
+    for E in np.linspace(-1.9, 1.9, 381):
+        roots = characteristic_roots(h, float(E)).roots
+        mags = [abs(b) for b in roots]
+        for (a, b), (ma, mb) in zip(zip(roots, roots[1:]), zip(mags, mags[1:])):
+            if abs(ma - mb) < 1e-12:
+                ties += 1
+                assert cmath.phase(a) % (2 * math.pi) < cmath.phase(b) % (2 * math.pi), E
+            else:
+                assert ma < mb, E
+    assert ties >= 381
+
+
+@pytest.mark.filterwarnings("ignore:coincident beta roots:RuntimeWarning")
+@pytest.mark.parametrize("ep_tol", [nonbloch._EP_ROOT_TOL, 0.3], ids=["ep_tol", "wide_ep_tol"])
+@pytest.mark.parametrize(
+    "spec",
+    [flux_ring(24, 0.4, 0.8), nnn_chain(30, 1.0, 0.5, 0.3), gain_chain(40, g=1.2)],
+    ids=["flux_ring", "nnn_chain", "gain_chain"],
+)
+def test_batched_oracle_matches_single_energy_calls(spec, ep_tol, monkeypatch):
+    # a wide coincidence tolerance flags the energies near the band edges
+    monkeypatch.setattr(nonbloch, "_EP_ROOT_TOL", ep_tol)
+    rng = np.random.default_rng(5)
+    energies = np.concatenate(
+        [eig(build_hamiltonian(spec)).eigenvalues, rng.uniform(-2.5, 2.5, 8) + 1j * rng.uniform(-1, 1, 8)]
+    )
+    roots = _root_stack(spec.hoppings, energies)
+    value, log_scale, norms, ill = _boundary_stack(spec, roots)
+    worst = 0.0
+    for k, E in enumerate(energies):
+        rs = characteristic_roots(spec.hoppings, complex(E))
+        det = boundary_determinant(spec, rs)
+        assert rs.roots == tuple(roots[k].tolist())
+        assert det.value == complex(value[k])
+        assert det.log_scale == float(log_scale[k])
+        assert det.column_norms == tuple(norms[k].tolist())
+        assert det.ill_conditioned == bool(ill[k])
+        if k < spec.L:
+            worst = max(worst, det.normalized_magnitude)
+    got, n_ill = _spectrum_audit(spec, energies[: spec.L])
+    assert got == pytest.approx(worst, rel=1e-12)
+    assert n_ill == int(ill[: spec.L].sum())
+    if ep_tol == 0.3:
+        assert 0 < n_ill < spec.L
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_root_stack_names_non_finite_energy(bad):
+    energies = np.array([0.3, 0.5 + 0.1j, bad, 1.0])
+    with pytest.raises(ValueError, match="at index 2"):
+        _root_stack(NN, energies)
+    with pytest.raises(ValueError, match="finite"):
+        characteristic_roots(NN, bad)
+
+
+def test_root_residual_failure_names_energy(monkeypatch):
+    exact = nonbloch._dispersion
+
+    def off_on_row_2(h, roots):
+        value = exact(h, roots)
+        if value.ndim == 2:
+            value[2] += 1e-3
+        return value
+
+    monkeypatch.setattr(nonbloch, "_dispersion", off_on_row_2)
+    with pytest.raises(RuntimeError, match=re.escape("at E=(0.7+0.1j)")):
+        _root_stack(NN, np.array([0.3, 0.5, 0.7 + 0.1j, 1.0]))
+
+
+def test_band_edge_roots_ill_conditioned_on_own_row():
+    # the exact root set at the band edge E = 2 is the double root beta = 1;
+    # the other rows are the roots at E = 2.5 and E = 0
+    spec = flux_ring(24, 0.4, 0.8)
+    roots = np.array([[0.5, 2.0], [1.0, 1.0], [1j, -1j]], dtype=complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        *_, ill = _boundary_stack(spec, roots)
+    assert ill.tolist() == [False, True, False]
+    assert len(caught) == 1 and issubclass(caught[0].category, RuntimeWarning)
+    assert "at 1 of 3 energies" in str(caught[0].message)
+    with pytest.warns(RuntimeWarning, match="at 1 of 1"):
+        det = boundary_determinant(spec, BetaRootSet(2.0, (1.0, 1.0), spec.hoppings))
+    assert det.ill_conditioned
 
 
 def test_boundary_determinant_unperturbed_ring_zeros():
