@@ -66,7 +66,8 @@ class BetaRootSet:
 
     def dispersion_residual(self) -> float:
         """Max |E(beta) - E| over the stored roots."""
-        return float(np.max(np.abs(_dispersion(self.hoppings, np.array(self.roots)) - self.energy)))
+        values = _dispersion(self.hoppings, np.array(self.roots))
+        return float(np.max(np.abs(values - self.energy)))
 
     def pairing_defect(self) -> float:
         """Distance of the root multiset from closure under b -> 1/conj(b).
@@ -142,15 +143,6 @@ def _dispersion(h: HoppingSet, roots: np.ndarray) -> np.ndarray:
     return sum(t * roots**n + t.conjugate() * roots ** (-n) for n, t in h.items())
 
 
-def _horner(columns: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Polynomials at ``x`` by Horner's rule, in np.polyval's order, from
-    their coefficient ``columns`` (highest degree first)."""
-    y = columns[0]
-    for c in columns[1:]:
-        y = y * x + c
-    return y
-
-
 def _root_stack(h: HoppingSet, energies: np.ndarray) -> np.ndarray:
     """(N, 2M) roots of the characteristic polynomial at N energies, each
     row as :func:`characteristic_roots` orders it.
@@ -182,13 +174,17 @@ def _root_stack(h: HoppingSet, energies: np.ndarray) -> np.ndarray:
     roots = eigvals(companion)
 
     # Newton polish against the original (unreduced) polynomial p; p and
-    # p' (padded with a leading zero) are evaluated in one Horner pass.
+    # p' (padded with a leading zero) are evaluated together by Horner's
+    # rule, in np.polyval's order.
     polys = np.zeros((2, N, 2 * M + 1), dtype=complex)
     polys[0] = coeffs[:, ::-1]
     polys[1, :, 1:] = polys[0, :, :-1] * np.arange(2 * M, 0, -1)
     columns = [polys[..., d, None] for d in range(2 * M + 1)]
     for _ in range(3):
-        p, dp = _horner(columns, roots)
+        p_dp = columns[0]
+        for c in columns[1:]:
+            p_dp = p_dp * roots + c
+        p, dp = p_dp
         roots = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
     residual = abs(_dispersion(h, roots) - energies[:, None]).max(axis=1)

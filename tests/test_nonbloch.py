@@ -93,8 +93,8 @@ def test_roots_satisfy_dispersion_property(er, ei, t2r, t2i):
 
 @pytest.mark.parametrize("t2", [0.0, 0.5], ids=["nn", "t2=0.5"])
 def test_root_ties_ordered_by_phase(t2):
-    # on the band the roots come in |beta| = 1 pairs (and, with t2, a
-    # reciprocal real pair): magnitudes that tie up to roundoff go by phase
+    # at real E conjugate roots have equal |beta| (on the band, a pair on
+    # the unit circle): roundoff in |beta| must not decide their order
     h = HoppingSet(terms=((1, 1.0 + 0j), (2, t2 + 0j)) if t2 else ((1, 1.0 + 0j),))
     ties = 0
     for E in np.linspace(-1.9, 1.9, 381):
@@ -121,7 +121,10 @@ def test_batched_oracle_matches_single_energy_calls(spec, ep_tol, monkeypatch):
     monkeypatch.setattr(nonbloch, "_EP_ROOT_TOL", ep_tol)
     rng = np.random.default_rng(5)
     energies = np.concatenate(
-        [eig(build_hamiltonian(spec)).eigenvalues, rng.uniform(-2.5, 2.5, 8) + 1j * rng.uniform(-1, 1, 8)]
+        [
+            eig(build_hamiltonian(spec)).eigenvalues,
+            rng.uniform(-2.5, 2.5, 8) + 1j * rng.uniform(-1, 1, 8),
+        ]
     )
     roots = _root_stack(spec.hoppings, energies)
     value, log_scale, norms, ill = _boundary_stack(spec, roots)
@@ -157,8 +160,7 @@ def test_root_residual_failure_names_energy(monkeypatch):
 
     def off_on_row_2(h, roots):
         value = exact(h, roots)
-        if value.ndim == 2:
-            value[2] += 1e-3
+        value[2] += 1e-3
         return value
 
     monkeypatch.setattr(nonbloch, "_dispersion", off_on_row_2)
