@@ -287,7 +287,9 @@ def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     return powers, C
 
 
-def _boundary_stack(spec: ModelSpec, roots: np.ndarray):
+def _boundary_stack(
+    spec: ModelSpec, roots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled boundary matrices of N root sets, as (value, log_scale,
     column_norms, ill_conditioned) arrays of shapes (N,), (N,), (N, 2M), (N,).
 
