@@ -37,6 +37,8 @@ __all__ = [
 
 IMAG_CUT_FACTOR = 1e-8
 C_BOUND_CUT = 10.0
+_SCALING_FACTOR = 2  # see bound_states_by_scaling
+_IM_RATIO = 2.0 ** -0.5
 
 # Floor for log-amplitude fits; bound states underflow mid-chain.
 _AMP_FLOOR = 1e-300
@@ -56,7 +58,6 @@ class SpectrumClassification:
     n_com: int
     complex_indices: tuple[int, ...]
     tol_imag: float
-    conjugate_partners: tuple[int, ...]  # one entry per complex index
     near_cut: int
 
 
@@ -75,27 +76,19 @@ class ScaleFreeFit:
 def classify_spectrum(
     spectrum: Spectrum, scale: float, tol_imag: float | None = None
 ) -> SpectrumClassification:
-    """Split eigenvalues into real and complex at tol_imag = 1e-8 * scale.
-
-    For every complex eigenvalue the index of its nearest conjugate partner
-    is reported alongside.
-    """
+    """Split eigenvalues into real and complex at tol_imag = 1e-8 * scale."""
     if scale <= 0:
         raise ValueError("scale must be positive (pass the Frobenius norm)")
     tol = IMAG_CUT_FACTOR * scale if tol_imag is None else float(tol_imag)
     values = spectrum.eigenvalues
     im = np.abs(values.imag)
     complex_idx = tuple(int(i) for i in np.flatnonzero(im > tol))
-    partners = tuple(
-        int(np.argmin(np.abs(values - np.conj(values[i])))) for i in complex_idx
-    )
     n_com = len(complex_idx)
     return SpectrumClassification(
         p_com=n_com / len(values),
         n_com=n_com,
         complex_indices=complex_idx,
         tol_imag=tol,
-        conjugate_partners=partners,
         near_cut=int(np.count_nonzero((im > 0) & (im <= tol))),
     )
 
@@ -154,9 +147,13 @@ def fit_decay_constant(
     amps = np.abs(v[lo - 1 : hi])
     if np.any(amps == 0):
         raise ValueError("window contains zero amplitudes")
-    j = np.arange(lo, hi + 1, dtype=float)
-    slope = np.polyfit(j, np.log(amps), 1)[0]
-    return float(slope * L)
+    return float(_log_slope(amps, lo, L))
+
+
+def _log_slope(amps: np.ndarray, lo: int, L: int) -> float:
+    """Least-squares slope of log(amps) on the sites lo, lo+1, ..., times L."""
+    j = np.arange(lo, lo + len(amps), dtype=float)
+    return np.polyfit(j, np.log(amps), 1)[0] * L
 
 
 def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
@@ -177,56 +174,43 @@ def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
         if hi - lo + 1 < 10:
             return float("nan")
         amps = np.maximum(np.abs(v[lo - 1 : hi]), _AMP_FLOOR)
-        j = np.arange(lo, hi + 1, dtype=float)
-        slope = np.polyfit(j, np.log(amps), 1)[0]
-        best = max(best, abs(slope * L))
+        best = max(best, abs(_log_slope(amps, lo, L)))
     return best
 
 
-def detect_bound_states(
-    spectrum: Spectrum,
-    max_range: int = 1,
-    c_bound_cut: float = C_BOUND_CUT,
-) -> list[int]:
-    """Indices of states localized with a size-independent decay length.
+def _is_bound(v: np.ndarray, max_range: int) -> bool:
+    """The fixed cut |c| > C_BOUND_CUT; a NaN |c| (short chain) is not bound."""
+    return localization_constant(v, max_range) > C_BOUND_CUT
 
-    A state is flagged when its half-window |c| exceeds ``c_bound_cut``
-    (decay length <= L/c_bound_cut); such states are excluded from
-    continuous-spectrum statistics.
-    """
-    out = []
-    for k in range(spectrum.dimension):
-        if localization_constant(spectrum.vector(k), max_range) > c_bound_cut:
-            out.append(k)
-    return out
+
+def detect_bound_states(spectrum: Spectrum, max_range: int = 1) -> list[int]:
+    """Indices of states localized with a size-independent decay length:
+    those whose half-window |c| exceeds ``C_BOUND_CUT``."""
+    return [k for k in range(spectrum.dimension) if _is_bound(spectrum.vector(k), max_range)]
 
 
 def bound_states_by_scaling(
-    spec: ModelSpec,
-    spectrum: Spectrum,
-    candidates: Sequence[int],
-    factor: int = 2,
-    im_ratio: float = 2.0 ** -0.5,
+    spec: ModelSpec, spectrum: Spectrum, candidates: Sequence[int]
 ) -> list[int]:
     """Subset of candidate complex states whose Im E is size-independent.
 
-    The model is rebuilt on a ``factor`` times longer chain (total flux kept
-    fixed for periodic chains).  A candidate is a bound state when a complex
+    The model is rebuilt on a chain ``_SCALING_FACTOR`` (2) times longer
+    (total flux kept fixed for periodic chains) and classified by
+    :func:`classify_spectrum`.  A candidate is a bound state when a complex
     eigenvalue with the same Im-E sign persists at the larger size with at
-    least ``im_ratio`` of its imaginary part; continuous-spectrum imaginary
-    parts shrink like 1/L and fail that test.  The default cut is the
-    geometric midpoint 1/sqrt(2) between the bound ratio (1) and the
-    scale-free ratio (1/2), so a marginal mode at the bound-state formation
-    point lands on the bound side.  This refines the fixed
-    |c| > c_bound_cut cut near bound-state onset, where the emerging bound
-    mode is still spatially extended at the original size.
+    least ``_IM_RATIO`` of its imaginary part; continuous-spectrum imaginary
+    parts shrink like 1/L and fail that test.  The cut 1/sqrt(2) is the
+    geometric midpoint between the bound ratio (1) and the scale-free ratio
+    (1/2), so a marginal mode at the bound-state formation point lands on
+    the bound side.  This refines the fixed |c| > C_BOUND_CUT cut near
+    bound-state onset, where the emerging bound mode is still spatially
+    extended at the original size.
     """
     if not candidates:
         return []
-    big_spectrum, big_scale = solve(spec.resized(factor * spec.L), vectors=False)
+    big_spectrum, big_scale = solve(spec.resized(_SCALING_FACTOR * spec.L), vectors=False)
     big = big_spectrum.eigenvalues
-    tol_big = IMAG_CUT_FACTOR * big_scale
-    big_complex = big[np.abs(big.imag) > tol_big]
+    big_complex = big[list(classify_spectrum(big_spectrum, big_scale).complex_indices)]
     out = []
     for k in candidates:
         e = spectrum.eigenvalues[k]
@@ -234,9 +218,26 @@ def bound_states_by_scaling(
         if len(same_sign) == 0:
             continue
         nearest = same_sign[np.argmin(np.abs(same_sign - e))]
-        if abs(nearest.imag) >= im_ratio * abs(e.imag):
+        if abs(nearest.imag) >= _IM_RATIO * abs(e.imag):
             out.append(int(k))
     return out
+
+
+def _continuum(
+    spectrum: Spectrum,
+    cls: SpectrumClassification,
+    max_range: int,
+    scaling_spec: ModelSpec | None = None,
+) -> list[int]:
+    """The continuum rule: the complex indices of ``cls`` minus the bound
+    states among them.  The |c| cut runs on the complex states only; with
+    ``scaling_spec`` the survivors also take the size-doubling test of
+    :func:`bound_states_by_scaling` on that model."""
+    remaining = [i for i in cls.complex_indices if not _is_bound(spectrum.vector(i), max_range)]
+    if scaling_spec is not None and remaining:
+        bound = set(bound_states_by_scaling(scaling_spec, spectrum, remaining))
+        remaining = [i for i in remaining if i not in bound]
+    return remaining
 
 
 def continuous_complex_indices(
@@ -252,17 +253,10 @@ def continuous_complex_indices(
     test of :func:`bound_states_by_scaling`.
     """
     cls = classify_spectrum(spectrum, scale, tol_imag)
-    bound = set(detect_bound_states(spectrum, spec.max_range))
-    remaining = [i for i in cls.complex_indices if i not in bound]
-    if scaling_check and remaining:
-        bound_extra = set(bound_states_by_scaling(spec, spectrum, remaining))
-        remaining = [i for i in remaining if i not in bound_extra]
-    return remaining
+    return _continuum(spectrum, cls, spec.max_range, spec if scaling_check else None)
 
 
-def _select_fit_state(
-    spectrum: Spectrum, scale: float, max_range: int
-) -> int | None:
+def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int | None:
     """State used for the scale-free decay fit: the one at the median
     imaginary part of the full spectrum, provided it is complex and not a
     bound state.
@@ -273,8 +267,7 @@ def _select_fit_state(
     by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
-    bound = set(detect_bound_states(spectrum, max_range))
-    allowed = set(cls.complex_indices) - bound
+    allowed = set(_continuum(spectrum, cls, max_range))
     if not allowed:
         return None
     values = spectrum.eigenvalues

@@ -121,6 +121,13 @@ def eig(H: np.ndarray) -> Spectrum:
     imaginary part.  Repeated calls on identical input are bit-identical.
     """
     H = _checked_matrix(H)
+    values, vectors = _sorted_eig(H)
+    residuals = _checked_residuals(H, values, vectors, frobenius_norm(H))
+    return Spectrum(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
+
+
+def _sorted_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig`'s sorted values and unit-norm vectors, without its checks."""
     try:
         values, vectors = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
@@ -129,9 +136,7 @@ def eig(H: np.ndarray) -> Spectrum:
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order].astype(np.complex128, copy=False)
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    residuals = _checked_residuals(H, values, vectors, frobenius_norm(H))
-    return Spectrum(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
+    return values, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
 
 
 def _checked_residuals(
@@ -230,11 +235,11 @@ def solve(spec: ModelSpec, vectors: bool = True) -> tuple[Spectrum, float]:
     """Build the model's H and diagonalize it; returns the spectrum and
     ||H||_F of the site-basis H, the scale of every classification cut.
 
-    A PT-symmetric H is solved through :func:`eig` on its real form R.
-    The vectors are mapped back to the sites, normalized, and their
-    residuals checked against H itself.  Any other H goes through
-    :func:`eig` unchanged.  ``vectors=False`` returns no eigenvectors: it
-    is :func:`solve_values` on a stack of one.
+    A PT-symmetric H is diagonalized on its real form R as :func:`eig`
+    does, minus R's residual check: the vectors are mapped back to the
+    sites, normalized again and checked against H itself, once.  Any other
+    H goes through :func:`eig` unchanged.  ``vectors=False`` returns no
+    eigenvectors: it is :func:`solve_values` on a stack of one.
     """
     if not vectors:
         return solve_values([spec])[0]
@@ -242,9 +247,9 @@ def solve(spec: ModelSpec, vectors: bool = True) -> tuple[Spectrum, float]:
     scale = frobenius_norm(H)
     if not _matrix_is_pt_symmetric(H, 0.0):
         return eig(H), scale
-    real = eig(_real_pt_form(H))
-    values, V = real.eigenvalues, _site_basis(real.eigenvectors)
-    del real  # only H and the mapped vectors are needed from here on
+    values, W = _sorted_eig(_checked_matrix(_real_pt_form(H)))
+    V = _site_basis(W)
+    del W  # only H and the mapped vectors are needed from here on
     V /= np.linalg.norm(V, axis=0, keepdims=True)
     residuals = _checked_residuals(H, values, V, scale)
     return Spectrum(values, V, residuals, real_basis=True), scale

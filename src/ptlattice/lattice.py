@@ -64,10 +64,6 @@ class HoppingSet:
             self, "terms", tuple(sorted((int(n), complex(a)) for n, a in self.terms))
         )
 
-    @classmethod
-    def from_dict(cls, d: dict[int, complex]) -> "HoppingSet":
-        return cls(tuple(d.items()))
-
     @property
     def max_range(self) -> int:
         return self.terms[-1][0]

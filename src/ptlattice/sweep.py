@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify_spectrum, continuous_complex_indices
+from .analysis import _continuum, classify_spectrum
 from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_values
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
 
@@ -196,10 +196,8 @@ def _point_value(
     if config.metric is Metric.MAX_IM_E:
         return float(np.max(np.abs(spectrum.eigenvalues.imag))), 0
     cls = classify_spectrum(spectrum, scale)
-    if spec.boundary is Boundary.OPEN:
-        n_com = len(continuous_complex_indices(spec, spectrum, scale))
-    else:
-        n_com = cls.n_com
+    open_chain = spec.boundary is Boundary.OPEN
+    n_com = len(_continuum(spectrum, cls, spec.max_range)) if open_chain else cls.n_com
     p_com = n_com / spec.L
     if config.metric is Metric.THRESHOLD_COMPARE:
         return (1.0 if p_com > 0 else 0.0), cls.near_cut

@@ -15,6 +15,8 @@ from ptlattice import (
 )
 from ptlattice.analysis import (
     _select_fit_state,
+    bound_states_by_scaling,
+    continuous_complex_indices,
     default_fit_window,
     half_asymmetry,
     localization_constant,
@@ -146,6 +148,40 @@ def test_detect_bound_states_two_sided():
     spectrum = eig(build_hamiltonian(spec))
     idx = detect_bound_states(spectrum, max_range=spec.max_range)
     assert len(idx) == 2
+
+
+# criterion 5's open chains (L = 100, t1 = 1), among them the two L = 100
+# chains of the obc_criterion benchmark, and its two L = 400 chains
+_CONTINUUM_MODELS = (
+    [(100, t2, float(g)) for t2 in (0.05, 0.1, 0.2) for g in np.linspace(0.0, 2.0, 21)]
+    + [(100, 0.5, float(g)) for g in np.linspace(0.05, 2.0, 40)]
+    + [(400, 0.5, g) for g in (0.3, 1.0)]
+)
+
+
+def test_continuum_is_complex_minus_bound_states():
+    # the |c| cut runs on the complex states only; the result must be the
+    # complex indices minus detect_bound_states over all states
+    seen_bound = 0
+    for L, t2, g in _CONTINUUM_MODELS:
+        spec = nnn_chain(L, 1.0, t2, g)
+        spectrum, scale = solve(spec)
+        bound = set(detect_bound_states(spectrum, spec.max_range))
+        cls = classify_spectrum(spectrum, scale)
+        want = [i for i in cls.complex_indices if i not in bound]
+        assert continuous_complex_indices(spec, spectrum, scale) == want, (L, t2, g)
+        seen_bound += len(set(cls.complex_indices) & bound)
+    assert seen_bound > 0  # the cut removed complex states somewhere
+
+
+@pytest.mark.parametrize("L, g", [(100, 0.3), (100, 1.0), (400, 1.0)])
+def test_scaling_check_refines_the_continuum(L, g):
+    spec = nnn_chain(L, 1.0, 0.5, g)
+    spectrum, scale = solve(spec)
+    remaining = continuous_complex_indices(spec, spectrum, scale)
+    extra = set(bound_states_by_scaling(spec, spectrum, remaining))
+    refined = continuous_complex_indices(spec, spectrum, scale, scaling_check=True)
+    assert refined == [i for i in remaining if i not in extra]
 
 
 def test_fit_scale_free_matches_profile():

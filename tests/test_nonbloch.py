@@ -184,6 +184,23 @@ def test_band_edge_roots_ill_conditioned_on_own_row():
     assert det.ill_conditioned
 
 
+@pytest.mark.parametrize(
+    "spec, critical",
+    [(gain_chain(40, g=1.2), [-2.0, 2.0]), (nnn_chain(30, 1.0, 0.5, 0.3), [-1.5, -1.0, 3.0])],
+    ids=["nn", "t2=0.5"],
+)
+def test_band_critical_values_ill_conditioned(spec, critical):
+    # the polished double roots at a band critical value lie 2e-9 to 1.1e-8
+    # apart; the coincidence test must still see them
+    for E in critical:
+        with pytest.warns(RuntimeWarning, match="at 1 of 1"):
+            det = boundary_determinant(spec, characteristic_roots(spec.hoppings, E))
+        assert det.ill_conditioned, E
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not boundary_determinant(spec, characteristic_roots(spec.hoppings, 0.1)).ill_conditioned
+
+
 def test_boundary_determinant_unperturbed_ring_zeros():
     # with g = 0 the determinant vanishes exactly at the ring eigenvalues
     from ptlattice import Boundary, ModelSpec

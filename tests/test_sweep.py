@@ -16,7 +16,7 @@ from ptlattice import (
     threshold_extract,
 )
 from ptlattice import sweep
-from ptlattice.analysis import classify_spectrum
+from ptlattice.analysis import classify_spectrum, detect_bound_states
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve
 from ptlattice.sweep import (
@@ -287,6 +287,28 @@ def test_values_only_sweep_matches_per_point_solve(pt, metric, threads):
         assert "near_cut_points" not in grid.provenance
     else:
         assert grid.provenance["near_cut_points"] == near
+
+
+@pytest.mark.parametrize("metric", ["PCom", "ThresholdCompare"])
+def test_open_chain_sweep_counts_continuum(metric):
+    # each point: complex eigenvalues minus detect_bound_states over all states
+    config = SweepConfig(
+        base_model=nnn_chain(40, 1.0, 0.5, 0.5),
+        axis1=AxisSpec("t2", 0.05, 0.6, 3),
+        axis2=AxisSpec("g", 0.0, 1.6, 5),
+        metric=Metric(metric),
+    )
+    grid = run_sweep(config, threads=2)
+    for i, v1 in enumerate(config.axis1.values):
+        for j, v2 in enumerate(config.axis2.values):
+            spec = apply_parameter(config.base_model, "t2", v1)
+            spectrum, scale = solve(apply_parameter(spec, "g", v2))
+            bound = set(detect_bound_states(spectrum, spec.max_range))
+            complex_idx = classify_spectrum(spectrum, scale).complex_indices
+            p_com = len([k for k in complex_idx if k not in bound]) / spec.L
+            want = p_com if metric == "PCom" else float(p_com > 0)
+            assert grid.values[i, j] == want, (v1, v2)
+    assert grid.values.max() > 0
 
 
 def test_stack_size():
