@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .eigen import eigvals
 from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
@@ -445,6 +444,29 @@ def _broken_intervals(
     )
 
 
+def _sign_change_roots(f, grid: np.ndarray, xtol: float) -> np.ndarray:
+    """Ascending roots of the elementwise function f on ``grid`` where its
+    samples change sign.  A zero sample is a root exactly when its nonzero
+    neighbours change sign, and counts once, as in :func:`_crossings`; a
+    touch is no root.  Every other sign change is bisected, all brackets at
+    once, to a width of at most ``xtol`` and reported at its midpoint."""
+    values = f(grid)
+    nonzero = np.flatnonzero(values)
+    signs = np.sign(values[nonzero])
+    k = np.flatnonzero(signs[1:] != signs[:-1])
+    left, right = nonzero[k], nonzero[k + 1]
+    roots = grid[left + 1]  # the first zero sample, where one lies between
+    bisect = right == left + 1
+    lo, hi, sign_lo = grid[left[bisect]], grid[right[bisect]], signs[k[bisect]]
+    for _ in range(math.ceil(math.log2(np.max(hi - lo, initial=xtol) / xtol))):
+        mid = 0.5 * (lo + hi)
+        side = np.sign(f(mid)) * sign_lo  # 0 at an exact root: both ends move
+        lo = np.where(side >= 0, mid, lo)
+        hi = np.where(side <= 0, mid, hi)
+    roots[bisect] = 0.5 * (lo + hi)
+    return roots
+
+
 def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
     """Large-L solutions beta = exp(i*gamma + delta/L) of the ring
     boundary equation, to leading order in 1/L.
@@ -455,50 +477,44 @@ def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
         B = 2 t^2 sin(gamma L) sin(gamma) - g^2 cos(gamma (L-1))
             + 2 g t cos(phi) cos(gamma L),
 
-    so off-circle solutions (sinh(delta) != 0) require B(gamma) = 0, found by
-    bracketed root finding; the imaginary part then fixes delta in closed
-    form through cosh(delta) = rhs.  Returns (gamma, delta) pairs; delta
-    values come in +- pairs.  Empty when the model is PT-unbroken.
+    so off-circle solutions (sinh(delta) != 0) require B(gamma) = 0.  Its
+    roots are the sign changes of B on a 10L-point gamma grid over (0, pi),
+    refined together by bisection to a width of 1e-14 (see
+    :func:`_sign_change_roots`); the imaginary part then fixes delta in
+    closed form through cosh(delta) = rhs.  Returns (gamma, delta) pairs by
+    ascending gamma, +delta before -delta.  Empty when the model is
+    PT-unbroken.
     """
     t = float(params["t"])
     g = float(params["g"])
     theta = float(params["theta"])
     phi = float(params["phi"])
     L = int(params["L"])
-    cos_tl = math.cos(theta * L)
     cos_phi = math.cos(phi)
 
-    def bracket(gm: float) -> float:
+    def bracket(gm: np.ndarray) -> np.ndarray:
         return (
-            2 * t**2 * math.sin(gm * L) * math.sin(gm)
-            - g**2 * math.cos(gm * (L - 1))
-            + 2 * g * t * cos_phi * math.cos(gm * L)
+            2 * t**2 * np.sin(gm * L) * np.sin(gm)
+            - g**2 * np.cos(gm * (L - 1))
+            + 2 * g * t * cos_phi * np.cos(gm * L)
         )
-
-    def cosh_rhs(gm: float) -> float:
-        denom = 2 * (
-            -(g**2) * math.sin(gm * (L - 1))
-            + 2 * g * t * cos_phi * math.sin(gm * L)
-            - 2 * t**2 * math.cos(gm * L) * math.sin(gm)
-        )
-        if denom == 0:
-            return math.nan
-        return -4 * t**2 * cos_tl * math.sin(gm) / denom
 
     grid = np.linspace(1e-9, math.pi - 1e-9, 10 * L)
-    vals = np.array([bracket(gm) for gm in grid])
-    out: list[tuple[float, float]] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0 or vals[i] * vals[i + 1] >= 0:
-            continue
-        gm = brentq(bracket, grid[i], grid[i + 1], xtol=1e-14)
-        rhs = cosh_rhs(gm)
-        if not math.isfinite(rhs) or rhs <= 1.0 + 1e-12:
-            continue
-        delta = math.acosh(rhs)
-        out.append((float(gm), float(delta)))
-        out.append((float(gm), float(-delta)))
-    return out
+    gamma = _sign_change_roots(bracket, grid, 1e-14)
+    denom = 2 * (
+        -(g**2) * np.sin(gamma * (L - 1))
+        + 2 * g * t * cos_phi * np.sin(gamma * L)
+        - 2 * t**2 * np.cos(gamma * L) * np.sin(gamma)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = -4 * t**2 * math.cos(theta * L) * np.sin(gamma) / denom
+    keep = np.isfinite(rhs) & (rhs > 1.0 + 1e-12)
+    delta = np.arccosh(rhs[keep])
+    return [
+        pair
+        for gm, d in zip(gamma[keep].tolist(), delta.tolist())
+        for pair in ((gm, d), (gm, -d))
+    ]
 
 
 def asymptotic_energy(t: float, gamma: float, delta: float, L: int) -> complex:

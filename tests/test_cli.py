@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptlattice
 from ptlattice.cli import main
 from conftest import flux_ring, gain_chain, nnn_chain
 
@@ -200,3 +205,18 @@ def test_effective_subcommand(tmp_path, capsys):
     lines = (out / "thresholds.csv").read_text().splitlines()
     assert lines[0].startswith("theta,phi,g_c_predicted")
     assert len(lines) == 2
+
+
+def test_import_loads_no_scipy():
+    # the child finds the package where this process found it
+    src = str(Path(ptlattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, ptlattice, ptlattice.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from ptlattice import (
     classify_spectrum,
     eig,
     frobenius_norm,
+    solve,
     unitary_scan,
     asymptotic_broken_solver,
 )
@@ -378,6 +379,47 @@ def test_unitary_scan_grid_shape():
     )
     assert len(res.gamma_grid) == len(res.g_plus) == len(res.g_minus)
     assert len(res.discriminant_negative) == len(res.gamma_grid)
+
+
+def test_sign_change_roots_zero_on_a_sample():
+    from ptlattice.nonbloch import _sign_change_roots
+
+    grid = np.linspace(-2.0, 2.0, 5)
+    # a crossing through an exact-zero sample is one root, on the sample
+    assert _sign_change_roots(lambda x: x, grid, 1e-14).tolist() == [0.0]
+    flat = _sign_change_roots(lambda x: np.where(abs(x) <= 1.0, 0.0, x), grid, 1e-14)
+    assert flat.tolist() == [-1.0]
+    # a touch is no root
+    assert len(_sign_change_roots(lambda x: x**2, grid, 1e-14)) == 0
+    # sign changes between samples are bisected to the tolerance, ascending
+    roots = _sign_change_roots(lambda x: (x - 0.3) * (x + 1.7), grid, 1e-14)
+    assert len(roots) == 2
+    assert abs(roots - [-1.7, 0.3]).max() <= 1e-14
+
+
+_BROKEN_RINGS = [
+    (L, theta_L, g)
+    for theta_L in (0.3, 0.5, 1.0)
+    for g in (0.8, 1.2)
+    for L in (50, 100, 200, 400)
+]
+
+
+@pytest.mark.parametrize("L, theta_L, g", _BROKEN_RINGS)
+def test_asymptotic_count_matches_dense_n_com(L, theta_L, g):
+    t, phi = 1.0, math.pi / 2
+    sols = asymptotic_broken_solver(
+        {"t": t, "g": g, "theta": theta_L / L, "phi": phi, "L": L}
+    )
+    spectrum, scale = solve(flux_ring(L, theta_L / L, g, phi=phi, t=t), vectors=False)
+    assert len(sols) == classify_spectrum(spectrum, scale).n_com
+    gamma = np.array([gm for gm, _ in sols])
+    B = (
+        2 * t**2 * np.sin(gamma * L) * np.sin(gamma)
+        - g**2 * np.cos(gamma * (L - 1))
+        + 2 * g * t * math.cos(phi) * np.cos(gamma * L)
+    )
+    assert np.all(np.abs(B) <= 1e-12 * (t**2 + g**2))
 
 
 def test_asymptotic_solutions_come_in_pairs():
