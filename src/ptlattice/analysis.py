@@ -244,7 +244,6 @@ def continuous_complex_indices(
     spec: ModelSpec,
     spectrum: Spectrum,
     scale: float,
-    tol_imag: float | None = None,
     scaling_check: bool = False,
 ) -> list[int]:
     """Complex-eigenvalue indices with bound states removed.
@@ -252,7 +251,7 @@ def continuous_complex_indices(
     With ``scaling_check`` the fixed-|c| cut is refined by the size-doubling
     test of :func:`bound_states_by_scaling`.
     """
-    cls = classify_spectrum(spectrum, scale, tol_imag)
+    cls = classify_spectrum(spectrum, scale)
     return _continuum(spectrum, cls, spec.max_range, spec if scaling_check else None)
 
 

@@ -8,7 +8,6 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from .analysis import (
 from .bands import criterion_check
 from .eigen import EigensolverError, solve
 from .lattice import ModelSpec
-from .nonbloch import _spectrum_audit, unitary_scan
+from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
     apply_parameter,
@@ -191,28 +190,14 @@ def _cmd_criterion(doc: dict, out: Path, args) -> None:
     )
 
 
-def _first_pert_phase(spec: ModelSpec) -> float:
-    if not spec.perturbations:
-        return 0.0
-    return cmath.phase(spec.perturbations[0].amplitude)
-
-
 def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
     if "model" not in doc:
         raise ConfigError("nonbloch config needs key 'model'")
     spec = _model_from(doc["model"], "model")
     resolution = int(doc.get("gamma_resolution", 2000))
     g_range = [float(x) for x in doc.get("g_range", [0.0, 2.0])]
-    t = abs(spec.hoppings.amplitude(1))
-    g = abs(spec.perturbations[0].amplitude) if spec.perturbations else 0.0
-    params = {
-        "t": t,
-        "g_range": g_range,
-        "theta": spec.flux_theta,
-        "phi": _first_pert_phase(spec),
-        "L": spec.L,
-    }
-    result = unitary_scan(params, resolution)
+    ring = _ring_parameters(spec)
+    result = unitary_scan({**ring, "g_range": g_range}, resolution)
     with (out / "unitary_scan.csv").open("w") as fh:
         fh.write("gamma,G_plus,G_minus,discriminant_negative\n")
         for gm, p, m, d in result.csv_rows():
@@ -225,7 +210,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
         "nonbloch.json",
         {
             "config": doc,
-            "g": g,
+            "g": ring["g"],
             "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
             "max_normalized_boundary_det": worst,
             "ill_conditioned": ill,
@@ -249,10 +234,15 @@ def _observed_onset(spec: ModelSpec, g_max: float, steps: int = 41) -> float | N
 def _cmd_effective(doc: dict, out: Path, args) -> None:
     if "model" not in doc or "thetas" not in doc:
         raise ConfigError("effective config needs keys 'model' and 'thetas'")
+    for key in ("t", "phi"):
+        if key in doc:
+            raise ConfigError(
+                f"effective config key {key!r} is not accepted: t and phi come from the model"
+            )
     base = _model_from(doc["model"], "model")
     thetas = [float(x) for x in doc["thetas"]]
-    t = float(doc.get("t", abs(base.hoppings.amplitude(1))))
-    phi = float(doc.get("phi", _first_pert_phase(base)))
+    ring = _ring_parameters(base)
+    t, phi = ring["t"], ring["phi"]
     rows = []
     for theta in thetas:
         g_pred = threshold_pbc(base.L, theta, phi, t)

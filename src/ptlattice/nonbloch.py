@@ -467,10 +467,45 @@ def _sign_change_roots(f, grid: np.ndarray, xtol: float) -> np.ndarray:
     return roots
 
 
-def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
+def _ring_parameters(spec: ModelSpec) -> dict:
+    """{"t", "g", "theta", "phi", "L"} of a flux ring: a periodic chain with
+    one real, positive range-1 hopping t and either no perturbation (g = 0,
+    phi = 0) or exactly g e^(i*phi)|1><1| + g e^(-i*phi)|L><L|, with the
+    site-L amplitude the exact conjugate of the site-1 amplitude (the exact
+    PT test of :func:`~ptlattice.eigen.solve`).  g and phi are read from the
+    site-1 term.  Any other model raises ValueError."""
+    if spec.boundary is not Boundary.PERIODIC:
+        raise ValueError("the ring theory needs a periodic chain, got an open one")
+    ranges = [n for n, _ in spec.hoppings.items()]
+    if ranges != [1]:
+        raise ValueError(f"the ring theory needs one range-1 hopping, got ranges {ranges}")
+    t = spec.hoppings.amplitude(1)
+    if t.imag != 0 or not (math.isfinite(t.real) and t.real > 0):
+        raise ValueError(f"the ring theory needs a real, positive hopping, got t = {t}")
+    g, phi = 0.0, 0.0
+    if spec.perturbations:
+        ends = {(p.site_i, p.site_j): p.amplitude for p in spec.perturbations}
+        if len(spec.perturbations) != 2 or set(ends) != {(1, 1), (spec.L, spec.L)}:
+            raise ValueError(
+                "the ring theory needs perturbations g e^(i phi)|1><1| + "
+                f"g e^(-i phi)|L><L| with L = {spec.L}, got terms at "
+                f"{[(p.site_i, p.site_j) for p in spec.perturbations]}"
+            )
+        first = ends[(1, 1)]
+        if ends[(spec.L, spec.L)] != first.conjugate():
+            raise ValueError(
+                f"the ring theory needs the site-{spec.L} amplitude to be the exact "
+                f"conjugate of the site-1 amplitude {first}, got {ends[(spec.L, spec.L)]}"
+            )
+        g, phi = abs(first), cmath.phase(first)
+    return {"t": t.real, "g": g, "theta": spec.flux_theta, "phi": phi, "L": spec.L}
+
+
+def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
     """Large-L solutions beta = exp(i*gamma + delta/L) of the ring
     boundary equation, to leading order in 1/L.
 
+    ``spec`` must be a flux ring as :func:`_ring_parameters` checks it.
     The real part of the boundary equation factorizes as
     2 sinh(delta) * B(gamma) with
 
@@ -485,11 +520,8 @@ def asymptotic_broken_solver(params: dict) -> list[tuple[float, float]]:
     ascending gamma, +delta before -delta.  Empty when the model is
     PT-unbroken.
     """
-    t = float(params["t"])
-    g = float(params["g"])
-    theta = float(params["theta"])
-    phi = float(params["phi"])
-    L = int(params["L"])
+    ring = _ring_parameters(spec)
+    t, g, theta, phi, L = (ring[k] for k in ("t", "g", "theta", "phi", "L"))
     cos_phi = math.cos(phi)
 
     def bracket(gm: np.ndarray) -> np.ndarray:

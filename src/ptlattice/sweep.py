@@ -137,10 +137,13 @@ def apply_parameter(spec: ModelSpec, path: str, value: float) -> ModelSpec:
 
     Paths: ``flux_theta``; ``g`` (perturbation magnitude, phases kept);
     ``phi`` (perturbation phase, sign pattern of the existing phases kept);
-    ``t2`` (range-2 hopping amplitude; zero removes the term).
+    ``t2`` (range-2 hopping amplitude; zero removes the term).  ``g`` and
+    ``phi`` on a model with no perturbation raise ValueError.
     """
     if path == "flux_theta":
         return dc_replace(spec, flux_theta=float(value))
+    if path in ("g", "phi") and not spec.perturbations:
+        raise ValueError(f"parameter {path!r} needs a model with a perturbation, got none")
     if path == "g":
         if any(p.amplitude == 0 for p in spec.perturbations):
             raise ValueError("cannot scale a zero perturbation amplitude")

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from ptlattice import ModelSpec
+from ptlattice import HoppingSet, ModelSpec, PerturbationTerm
 
 
 def gain_chain(L: int, t: float = 1.0, g: float = 1.0) -> ModelSpec:
@@ -54,6 +55,34 @@ def nnn_chain(L: int, t1: float, t2: float, g: float) -> ModelSpec:
             ],
         }
     )
+
+
+def not_rings() -> dict[str, tuple[ModelSpec, str]]:
+    """Models the flux-ring theory rejects, by id, with a pattern of the
+    reason it gives."""
+    ring = flux_ring(24, 0.4, 0.8)
+    return {
+        "open_nnn_chain": (nnn_chain(40, 1.0, 0.5, 0.5), "periodic chain"),
+        "gain_at_site_1_only": (
+            replace(ring, perturbations=ring.perturbations[:1]),
+            "perturbations",
+        ),
+        "t2_ring": (
+            replace(ring, hoppings=HoppingSet(((1, 1.0), (2, 0.5)))),
+            "one range-1 hopping",
+        ),
+        "complex_t": (
+            replace(ring, hoppings=HoppingSet(((1, 1.0 + 0.5j),))),
+            "real, positive hopping",
+        ),
+        "ends_not_conjugate": (
+            replace(
+                ring,
+                perturbations=(PerturbationTerm(1, 1, 0.8j), PerturbationTerm(24, 24, -0.7j)),
+            ),
+            "exact conjugate",
+        ),
+    }
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 
 import ptlattice
 from ptlattice.cli import main
-from conftest import flux_ring, gain_chain, nnn_chain
+from conftest import flux_ring, gain_chain, nnn_chain, not_rings
 
 
 def _write(tmp_path, name, doc):
@@ -205,6 +205,34 @@ def test_effective_subcommand(tmp_path, capsys):
     lines = (out / "thresholds.csv").read_text().splitlines()
     assert lines[0].startswith("theta,phi,g_c_predicted")
     assert len(lines) == 2
+
+
+_RING_CONFIGS = {"nonbloch": {"g_range": [0.0, 1.5]}, "effective": {"thetas": [0.005]}}
+
+
+@pytest.mark.parametrize("name", sorted(not_rings()))
+@pytest.mark.parametrize("subcommand", sorted(_RING_CONFIGS))
+def test_ring_subcommands_reject_non_rings(tmp_path, capsys, subcommand, name):
+    spec, reason = not_rings()[name]
+    cfg = _write(tmp_path, "c.json", {"model": spec.to_json_dict(), **_RING_CONFIGS[subcommand]})
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no sidecar, no CSV
+
+
+@pytest.mark.parametrize("key, value", [("t", 2.0), ("phi", 0.3)])
+def test_effective_rejects_t_and_phi_keys(tmp_path, capsys, key, value):
+    doc = {
+        "model": flux_ring(60, 0.005, 0.5).to_json_dict(),
+        "thetas": [0.005],
+        key: value,
+    }
+    cfg = _write(tmp_path, "e.json", doc)
+    out = tmp_path / "o"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == 1
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_import_loads_no_scipy():

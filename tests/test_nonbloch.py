@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from ptlattice import (
     unitary_scan,
     asymptotic_broken_solver,
 )
-from ptlattice.analysis import localization_constant
+from ptlattice.analysis import default_fit_window, fit_decay_constant, localization_constant
 from ptlattice import nonbloch
 from ptlattice.nonbloch import _boundary_stack, _root_stack, _spectrum_audit, asymptotic_energy
-from conftest import flux_ring, gain_chain, nnn_chain
+from conftest import flux_ring, gain_chain, nnn_chain, not_rings
 
 
 NN = HoppingSet(terms=((1, 1.0 + 0j),))
@@ -408,10 +409,9 @@ _BROKEN_RINGS = [
 @pytest.mark.parametrize("L, theta_L, g", _BROKEN_RINGS)
 def test_asymptotic_count_matches_dense_n_com(L, theta_L, g):
     t, phi = 1.0, math.pi / 2
-    sols = asymptotic_broken_solver(
-        {"t": t, "g": g, "theta": theta_L / L, "phi": phi, "L": L}
-    )
-    spectrum, scale = solve(flux_ring(L, theta_L / L, g, phi=phi, t=t), vectors=False)
+    spec = flux_ring(L, theta_L / L, g, phi=phi, t=t)
+    sols = asymptotic_broken_solver(spec)
+    spectrum, scale = solve(spec, vectors=False)
     assert len(sols) == classify_spectrum(spectrum, scale).n_com
     gamma = np.array([gm for gm, _ in sols])
     B = (
@@ -423,9 +423,7 @@ def test_asymptotic_count_matches_dense_n_com(L, theta_L, g):
 
 
 def test_asymptotic_solutions_come_in_pairs():
-    sols = asymptotic_broken_solver(
-        {"t": 1.0, "g": 0.8, "theta": 0.5, "phi": math.pi / 2, "L": 100}
-    )
+    sols = asymptotic_broken_solver(flux_ring(100, 0.5, 0.8, phi=math.pi / 2))
     assert sols
     deltas = sorted(d for g, d in sols)
     # deltas appear as +/- pairs
@@ -434,16 +432,14 @@ def test_asymptotic_solutions_come_in_pairs():
 
 
 def test_asymptotic_empty_without_gain():
-    sols = asymptotic_broken_solver(
-        {"t": 1.0, "g": 0.0, "theta": 0.5, "phi": math.pi / 2, "L": 60}
-    )
+    sols = asymptotic_broken_solver(flux_ring(60, 0.5, 0.0, phi=math.pi / 2))
     assert sols == []
 
 
 def test_asymptotic_energies_match_spectrum():
     L, theta, phi, g = 100, 0.5, math.pi / 2, 0.8
-    sols = asymptotic_broken_solver({"t": 1.0, "g": g, "theta": theta, "phi": phi, "L": L})
     spec = flux_ring(L, theta, g, phi=phi)
+    sols = asymptotic_broken_solver(spec)
     vals = eig(build_hamiltonian(spec)).eigenvalues
     matched = 0
     for gamma, delta in sols:
@@ -456,8 +452,8 @@ def test_asymptotic_energies_match_spectrum():
 def test_asymptotic_delta_matches_profile_decay():
     # the decay rate of a scale-free state agrees with |delta| to ~20%
     L, theta, phi, g = 100, 0.5, math.pi / 2, 0.8
-    sols = asymptotic_broken_solver({"t": 1.0, "g": g, "theta": theta, "phi": phi, "L": L})
     spec = flux_ring(L, theta, g, phi=phi)
+    sols = asymptotic_broken_solver(spec)
     spectrum = eig(build_hamiltonian(spec))
     vals = spectrum.eigenvalues
     gamma, delta = max(sols, key=lambda s: abs(s[1]))
@@ -465,3 +461,44 @@ def test_asymptotic_delta_matches_profile_decay():
     k = int(np.argmin(np.abs(vals - E)))
     c = localization_constant(spectrum.vector(k))
     assert abs(c) == pytest.approx(abs(delta), rel=0.25)
+
+
+@pytest.mark.parametrize("theta_L, g", [(0.5, 0.8), (1.0, 1.2)])
+def test_asymptotic_delta_median_decay_error_at_L400(theta_L, g):
+    # c = delta for the scale-free states; the median error falls like 1/L
+    L = 400
+    spec = flux_ring(L, theta_L / L, g)
+    spectrum, _ = solve(spec)
+    window = default_fit_window(L, 1)
+    errors = []
+    for gamma, delta in asymptotic_broken_solver(spec):
+        E = asymptotic_energy(1.0, gamma, delta, L)
+        k = int(np.argmin(np.abs(spectrum.eigenvalues - E)))
+        c = fit_decay_constant(spectrum.vector(k), window)
+        errors.append(abs(abs(c) - abs(delta)) / abs(delta))
+    assert errors
+    assert np.median(errors) < 0.05
+
+
+@pytest.mark.parametrize("name", sorted(not_rings()))
+def test_asymptotic_solver_rejects_non_rings(name):
+    spec, reason = not_rings()[name]
+    with pytest.raises(ValueError, match=reason):
+        asymptotic_broken_solver(spec)
+
+
+def test_asymptotic_empty_without_perturbation():
+    spec = replace(flux_ring(60, 0.5, 0.8), perturbations=())
+    assert nonbloch._ring_parameters(spec)["g"] == 0.0
+    assert asymptotic_broken_solver(spec) == []
+
+
+def test_ring_phase_read_from_site_1():
+    spec = flux_ring(100, 0.5, 0.8, phi=1.0)
+    flipped = replace(spec, perturbations=spec.perturbations[::-1])
+    ring = nonbloch._ring_parameters(flipped)
+    assert ring == nonbloch._ring_parameters(spec)
+    assert ring["phi"] == pytest.approx(1.0, abs=1e-15)
+    assert ring["g"] == pytest.approx(0.8, abs=1e-15)
+    sols = asymptotic_broken_solver(flipped)
+    assert sols and sols == asymptotic_broken_solver(spec)

@@ -84,6 +84,30 @@ def test_apply_parameter_rejects_zero_base_amplitude():
         apply_parameter(spec, "g", 1.0)
 
 
+@pytest.mark.parametrize("path", ["g", "phi"])
+def test_apply_parameter_needs_a_perturbation(path):
+    spec = dc_replace(flux_ring(10, 0.2, 0.5), perturbations=())
+    with pytest.raises(ValueError, match=f"parameter '{path}'"):
+        apply_parameter(spec, path, 1.0)
+
+
+@pytest.mark.parametrize("path", ["g", "phi"])
+def test_scan_over_a_missing_perturbation_exits_1(tmp_path, capsys, path):
+    # a g or phi axis on a model with no perturbation once gave a constant grid
+    doc = {
+        "base_model": dc_replace(flux_ring(16, 0.1, 0.5), perturbations=()).to_json_dict(),
+        "axis1": {"parameter": "flux_theta", "min": 0.05, "max": 0.15, "steps": 2},
+        "axis2": {"parameter": path, "min": 0.0, "max": 1.0, "steps": 4},
+        "metric": "PCom",
+    }
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"parameter '{path}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_deterministic_across_thread_counts():
     cfg = _small_config()
     g1 = run_sweep(cfg, threads=1)
