@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     classify_spectrum,
@@ -27,6 +25,8 @@ from .lattice import ModelSpec
 from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
+    _csv_line,
+    _first_onset,
     apply_parameter,
     config_hash,
     run_sweep,
@@ -44,8 +44,24 @@ class ConfigError(Exception):
     """Invalid configuration; message names the offending JSON path."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are config errors (exit 1), not argparse's exit 2,
+    which is the code of a numerical failure."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _numbers(doc: dict, key: str, kind, default=None) -> list:
+    """doc[key] (or default when absent) as a list of kind."""
+    try:
+        return [kind(x) for x in doc.get(key, default)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be a list of numbers ({exc})") from exc
+
+
+def _or_no_onset(onset: float | None) -> float | str:
+    return "no onset" if onset is None else onset
 
 
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -100,14 +116,10 @@ def _cmd_spectrum(doc: dict, out: Path, args) -> None:
     spectrum, scale = solve(spec)
     cls = classify_spectrum(spectrum, scale, args.tol_imag)
     rows = state_metrics_rows(spec, spectrum)
+    columns = ("index", "re_e", "im_e", "mean_position", "half_asymmetry", "c_fit", "is_bound")
     with (out / "spectrum.csv").open("w") as fh:
-        fh.write("index,re_e,im_e,mean_position,half_asymmetry,c_fit,is_bound\n")
-        for r in rows:
-            fh.write(
-                f"{r['index']},{_fmt(r['re_e'])},{_fmt(r['im_e'])},"
-                f"{_fmt(r['mean_position'])},{_fmt(r['half_asymmetry'])},"
-                f"{_fmt(r['c_fit'])},{r['is_bound']}\n"
-            )
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(_csv_line(r[c] for c in columns) for r in rows)
     _sidecar(
         out,
         "spectrum.json",
@@ -142,8 +154,7 @@ def _cmd_scan(doc: dict, out: Path, args) -> None:
     )
     with (out / f"onset_{key}.csv").open("w") as fh:
         fh.write(f"{config.axis1.parameter},onset_{config.axis2.parameter}\n")
-        for v1, onset in onsets:
-            fh.write(f"{_fmt(v1)},{'no onset' if onset is None else _fmt(onset)}\n")
+        fh.writelines(_csv_line((v1, _or_no_onset(onset))) for v1, onset in onsets)
     print(f"grid written: grid_{key}.csv ({grid.values.shape[0]}x{grid.values.shape[1]})")
 
 
@@ -151,13 +162,12 @@ def _cmd_scaling(doc: dict, out: Path, args) -> None:
     if "model" not in doc or "sizes" not in doc:
         raise ConfigError("scaling config needs keys 'model' and 'sizes'")
     base = _model_from(doc["model"], "model")
-    sizes = [int(s) for s in doc["sizes"]]
+    sizes = _numbers(doc, "sizes", int)
 
     fit = fit_scale_free(base.resized, sizes)
     with (out / "scaling.csv").open("w") as fh:
         fh.write("L,c\n")
-        for L, c in zip(fit.sizes, fit.c_estimates):
-            fh.write(f"{L},{_fmt(c)}\n")
+        fh.writelines(_csv_line(row) for row in zip(fit.sizes, fit.c_estimates))
     _sidecar(
         out,
         "scaling.json",
@@ -195,13 +205,12 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
         raise ConfigError("nonbloch config needs key 'model'")
     spec = _model_from(doc["model"], "model")
     resolution = int(doc.get("gamma_resolution", 2000))
-    g_range = [float(x) for x in doc.get("g_range", [0.0, 2.0])]
+    g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
     ring = _ring_parameters(spec)
     result = unitary_scan({**ring, "g_range": g_range}, resolution)
     with (out / "unitary_scan.csv").open("w") as fh:
         fh.write("gamma,G_plus,G_minus,discriminant_negative\n")
-        for gm, p, m, d in result.csv_rows():
-            fh.write(f"{_fmt(gm)},{_fmt(p)},{_fmt(m)},{d}\n")
+        fh.writelines(_csv_line(row) for row in result.csv_rows())
 
     spectrum, _ = solve(spec, vectors=False)
     worst, ill = _spectrum_audit(spec, spectrum.eigenvalues)
@@ -221,16 +230,6 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
     print(f"max normalized boundary determinant over spectrum: {worst:.3e}")
 
 
-def _observed_onset(spec: ModelSpec, g_max: float, steps: int = 41) -> float | None:
-    for g in np.linspace(0.0, g_max, steps):
-        spectrum, scale = solve(apply_parameter(spec, "g", float(g)), vectors=False)
-        if classify_spectrum(spectrum, scale).n_com > 0:
-            if g == 0:
-                return 0.0
-            return float(g - g_max / (steps - 1) / 2)
-    return None
-
-
 def _cmd_effective(doc: dict, out: Path, args) -> None:
     if "model" not in doc or "thetas" not in doc:
         raise ConfigError("effective config needs keys 'model' and 'thetas'")
@@ -240,40 +239,30 @@ def _cmd_effective(doc: dict, out: Path, args) -> None:
                 f"effective config key {key!r} is not accepted: t and phi come from the model"
             )
     base = _model_from(doc["model"], "model")
-    thetas = [float(x) for x in doc["thetas"]]
+    thetas = _numbers(doc, "thetas", float)
     ring = _ring_parameters(base)
     t, phi = ring["t"], ring["phi"]
     rows = []
     for theta in thetas:
         g_pred = threshold_pbc(base.L, theta, phi, t)
         g_printed = threshold_pbc_printed(base.L, theta, phi, t)
-        spec = apply_parameter(base, "flux_theta", theta)
-        g_obs = (
-            _observed_onset(spec, 2.0 * g_pred)
-            if math.isfinite(g_pred) and g_pred > 0
-            else None
-        )
-        rel = (
-            abs(g_obs - g_pred) / g_pred
-            if g_obs is not None and math.isfinite(g_pred) and g_pred > 0
-            else math.nan
-        )
-        rows.append((theta, phi, g_pred, g_printed, g_obs, rel))
+        g_obs, rel = None, math.nan
+        if math.isfinite(g_pred) and g_pred > 0:
+            spec = apply_parameter(base, "flux_theta", theta)
+            g_obs = _first_onset(spec, "g", 0.0, 2.0 * g_pred, 41)
+            if g_obs is not None:
+                rel = abs(g_obs - g_pred) / g_pred
+        rows.append((theta, phi, g_pred, g_printed, _or_no_onset(g_obs), rel))
     with (out / "thresholds.csv").open("w") as fh:
         fh.write(
             "theta,phi,g_c_predicted,g_c_printed_form,g_c_observed,relative_error\n"
         )
-        for theta, ph, g_pred, g_printed, g_obs, rel in rows:
-            obs = "no onset" if g_obs is None else _fmt(g_obs)
-            fh.write(
-                f"{_fmt(theta)},{_fmt(ph)},{_fmt(g_pred)},{_fmt(g_printed)},"
-                f"{obs},{_fmt(rel)}\n"
-            )
+        fh.writelines(_csv_line(row) for row in rows)
     _sidecar(out, "thresholds.json", {"config": doc}, args.override)
-    for theta, ph, g_pred, g_printed, g_obs, rel in rows:
+    for theta, _, g_pred, g_printed, g_obs, _ in rows:
         print(
             f"theta={theta:.6g} g_c={g_pred:.8g} (printed form {g_printed:.8g}) "
-            f"observed={g_obs if g_obs is not None else 'no onset'}"
+            f"observed={g_obs}"
         )
 
 
@@ -288,7 +277,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptlattice",
         description="Spectral toolkit for locally perturbed non-Hermitian chains",
     )
@@ -309,9 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="absolute Im-E cut for the real/complex classification",
     )
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         doc = _load_config(args.config, args.override)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

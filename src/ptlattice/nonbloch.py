@@ -420,13 +420,20 @@ def _ring_quadratics(t: float, theta: float, L: int, n_gamma: int, g_max: float)
     return curves
 
 
+def _sign_changes(values: np.ndarray) -> np.ndarray:
+    """One flag per pair of consecutive nonzero samples of ``values``, True
+    where their signs differ.  Exact zeros are skipped, so a root on a
+    sample counts once and a touch not at all."""
+    signs = np.sign(values)
+    signs = signs[signs != 0]
+    return signs[1:] != signs[:-1]
+
+
 def _crossings(curve, g: float, t: float, phi: float) -> int:
-    """Sign changes of D along one of :func:`_ring_quadratics`' curves,
-    skipping exact zeros: a root on a sample counts once."""
+    """Sign changes of D along one of :func:`_ring_quadratics`' curves
+    (:func:`_sign_changes`)."""
     a, b, c = curve
-    s = np.sign(g**2 * a - 2.0 * g * t * math.cos(phi) * b + c)
-    s = s[s != 0]
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+    return int(np.count_nonzero(_sign_changes(g**2 * a - 2.0 * g * t * math.cos(phi) * b + c)))
 
 
 def _broken_intervals(
@@ -447,17 +454,17 @@ def _broken_intervals(
 def _sign_change_roots(f, grid: np.ndarray, xtol: float) -> np.ndarray:
     """Ascending roots of the elementwise function f on ``grid`` where its
     samples change sign.  A zero sample is a root exactly when its nonzero
-    neighbours change sign, and counts once, as in :func:`_crossings`; a
+    neighbours change sign, and counts once (:func:`_sign_changes`); a
     touch is no root.  Every other sign change is bisected, all brackets at
     once, to a width of at most ``xtol`` and reported at its midpoint."""
     values = f(grid)
     nonzero = np.flatnonzero(values)
-    signs = np.sign(values[nonzero])
-    k = np.flatnonzero(signs[1:] != signs[:-1])
+    k = np.flatnonzero(_sign_changes(values))
     left, right = nonzero[k], nonzero[k + 1]
     roots = grid[left + 1]  # the first zero sample, where one lies between
     bisect = right == left + 1
-    lo, hi, sign_lo = grid[left[bisect]], grid[right[bisect]], signs[k[bisect]]
+    lo, hi = grid[left[bisect]], grid[right[bisect]]
+    sign_lo = np.sign(values[left[bisect]])
     for _ in range(math.ceil(math.log2(np.max(hi - lo, initial=xtol) / xtol))):
         mid = 0.5 * (lo + hi)
         side = np.sign(f(mid)) * sign_lo  # 0 at an exact root: both ends move

@@ -136,7 +136,8 @@ def apply_parameter(spec: ModelSpec, path: str, value: float) -> ModelSpec:
     """Return spec with one named parameter replaced.
 
     Paths: ``flux_theta``; ``g`` (perturbation magnitude, phases kept);
-    ``phi`` (perturbation phase, sign pattern of the existing phases kept);
+    ``phi`` (perturbation phase, with the sign of each term's imaginary
+    part, so the -0.0 of g e^(-i*0) keeps a ring's ends conjugate);
     ``t2`` (range-2 hopping amplitude; zero removes the term).  ``g`` and
     ``phi`` on a model with no perturbation raise ValueError.
     """
@@ -159,8 +160,7 @@ def apply_parameter(spec: ModelSpec, path: str, value: float) -> ModelSpec:
             PerturbationTerm(
                 p.site_i,
                 p.site_j,
-                abs(p.amplitude)
-                * cmath.exp(1j * value * (1 if cmath.phase(p.amplitude) >= 0 else -1)),
+                abs(p.amplitude) * cmath.exp(1j * value * math.copysign(1.0, p.amplitude.imag)),
             )
             for p in spec.perturbations
         )
@@ -315,7 +315,7 @@ def run_sweep(
                         near_cut_points.append([i, j])
                 if cache_file is not None:
                     with lock, cache_file.open("a") as fh:
-                        fh.writelines(f"{i},{j},{val:.17g}\n" for i, j, val, _ in rows)
+                        fh.writelines(_csv_line((i, j, val)) for i, j, val, _ in rows)
 
     grid = np.full((len(v1s), len(v2s)), math.nan)
     for i, j in np.ndindex(grid.shape):
@@ -346,9 +346,9 @@ def threshold_extract(grid: PhaseGrid) -> list[tuple[float, float | None]]:
     """Per axis1 value, the axis2 onset of a positive metric.
 
     The onset is placed midway between the last zero and first positive grid
-    points (the linear interpolant of a step).  None marks columns with no
-    positive point.  A NaN (failed) point is not positive; see
-    :func:`uncertain_onsets`.
+    points, or on the first point when that is positive (:func:`_onset_at`).
+    None marks columns with no positive point.  A NaN (failed) point is
+    not positive; see :func:`uncertain_onsets`.
     """
     v1s, v2s = grid.axis1.values, grid.axis2.values
     out: list[tuple[float, float | None]] = []
@@ -358,10 +358,30 @@ def threshold_extract(grid: PhaseGrid) -> list[tuple[float, float | None]]:
         if len(positive) == 0:
             out.append((float(v1), None))
             continue
-        j = int(positive[0])
-        onset = float(v2s[j]) if j == 0 else float(0.5 * (v2s[j - 1] + v2s[j]))
-        out.append((float(v1), onset))
+        out.append((float(v1), _onset_at(v2s, int(positive[0]))))
     return out
+
+
+def _onset_at(values: np.ndarray, j: int) -> float:
+    """The onset on the axis ``values`` whose first broken point is j:
+    values[0] when j = 0, else midway between the last unbroken and the
+    first broken point (the linear interpolant of a step)."""
+    return float(values[0]) if j == 0 else float(0.5 * (values[j - 1] + values[j]))
+
+
+def _first_onset(
+    spec: ModelSpec, parameter: str, lo: float, hi: float, steps: int
+) -> float | None:
+    """Onset of complex eigenvalues along one parameter of spec, placed as
+    in :func:`threshold_extract`.  The points of linspace(lo, hi, steps)
+    are solved in order, values only, up to the first one with a complex
+    eigenvalue (``n_com`` > 0); None when no point has one."""
+    values = np.linspace(lo, hi, steps)
+    for j, value in enumerate(values):
+        spectrum, scale = solve(apply_parameter(spec, parameter, float(value)), vectors=False)
+        if classify_spectrum(spectrum, scale).n_com > 0:
+            return _onset_at(values, j)
+    return None
 
 
 def uncertain_onsets(grid: PhaseGrid) -> list[float]:
@@ -377,13 +397,18 @@ def uncertain_onsets(grid: PhaseGrid) -> list[float]:
     return out
 
 
+def _csv_line(row) -> str:
+    """One CSV line of the fields of row: floats as %.17g, which reads
+    back bit for bit, anything else with str."""
+    return ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n"
+
+
 def write_grid_csv(grid: PhaseGrid, path: str | Path) -> None:
     v1s, v2s = grid.axis1.values, grid.axis2.values
     with Path(path).open("w") as fh:
         fh.write(f"{grid.axis1.parameter},{grid.axis2.parameter},value\n")
         for i, v1 in enumerate(v1s):
-            for j, v2 in enumerate(v2s):
-                fh.write(f"{v1:.17g},{v2:.17g},{grid.values[i, j]:.17g}\n")
+            fh.writelines(_csv_line((v1, v2, grid.values[i, j])) for j, v2 in enumerate(v2s))
 
 
 def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = None) -> None:

@@ -72,6 +72,46 @@ def test_missing_config_is_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        pytest.param(["spectrum"], "--config", id="no_config"),
+        pytest.param(["bogus", "--config", "m.json"], "invalid choice", id="unknown_subcommand"),
+        pytest.param(
+            ["spectrum", "--config", "m.json", "--threads", "abc"], "--threads", id="threads_abc"
+        ),
+    ],
+)
+def test_argument_errors_exit_1(tmp_path, capsys, argv, match):
+    # argparse's own exit code 2 is the contract's numerical failure
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "subcommand, doc, key",
+    [
+        ("scaling", {"model": gain_chain(50).to_json_dict(), "sizes": 5}, "sizes"),
+        ("effective", {"model": flux_ring(60, 0.01, 0.5).to_json_dict(), "thetas": 0.01}, "thetas"),
+        ("nonbloch", {"model": flux_ring(24, 0.4, 0.8).to_json_dict(), "g_range": 1.5}, "g_range"),
+    ],
+)
+def test_number_list_keys_reject_scalars(tmp_path, capsys, subcommand, doc, key):
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_invalid_model_is_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", {"L": 1})
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])

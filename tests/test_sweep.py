@@ -19,7 +19,11 @@ from ptlattice import sweep
 from ptlattice.analysis import classify_spectrum, detect_bound_states
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve
+from ptlattice.lattice import is_pt_symmetric
+from ptlattice.nonbloch import _ring_parameters
 from ptlattice.sweep import (
+    _csv_line,
+    _first_onset,
     apply_parameter,
     config_hash,
     uncertain_onsets,
@@ -82,6 +86,14 @@ def test_apply_parameter_rejects_zero_base_amplitude():
     spec = flux_ring(10, 0.2, 0.0, phi=0.7)
     with pytest.raises(ValueError):
         apply_parameter(spec, "g", 1.0)
+
+
+def test_phi_axis_keeps_a_phi_zero_ring_pt_symmetric():
+    # the site-L amplitude g - 0j once read as a phase >= 0, so both ends
+    # came out e^(+i phi) and the swept ring was no longer PT-symmetric
+    swept = apply_parameter(flux_ring(10, 0.2, 0.5, phi=0.0), "phi", 1.0)
+    assert is_pt_symmetric(swept)
+    assert _ring_parameters(swept)["phi"] == 1.0
 
 
 @pytest.mark.parametrize("path", ["g", "phi"])
@@ -499,3 +511,59 @@ def test_grid_sidecar(tmp_path):
     assert doc["metric"] == "PCom"
     assert doc["provenance"]["config_hash"] == config_hash(cfg)
     assert doc["note"] == "x"
+
+
+def test_first_onset_matches_threshold_extract():
+    # the same onset rule, bit for bit, on each flux column of a g sweep;
+    # in two of the four columns g_j - step/2 differs from the midpoint by 1 ulp
+    L = 24
+    cfg = SweepConfig(
+        base_model=flux_ring(L, 0.1 / L, 0.5),
+        axis1=AxisSpec("flux_theta", 0.1 / L, 1.5 / L, 4),
+        axis2=AxisSpec("g", 0.0, 2.0, 41),
+        metric=Metric.THRESHOLD_COMPARE,
+    )
+    onsets = threshold_extract(run_sweep(cfg, threads=1))
+    assert all(onset is not None for _, onset in onsets)
+    for theta, onset in onsets:
+        spec = apply_parameter(cfg.base_model, "flux_theta", theta)
+        assert _first_onset(spec, "g", 0.0, 2.0, 41) == onset
+
+
+def _counting_solves(monkeypatch) -> list:
+    calls = []
+
+    def counted(spec, **kwargs):
+        calls.append(kwargs)
+        return solve(spec, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve", counted)
+    return calls
+
+
+def test_first_onset_stops_at_the_first_broken_point(monkeypatch):
+    spec = flux_ring(24, 0.1 / 24, 0.5)
+    gs = np.linspace(0.0, 0.4, 41)
+    broken = [
+        classify_spectrum(*solve(apply_parameter(spec, "g", float(g)), vectors=False)).n_com > 0
+        for g in gs
+    ]
+    j = broken.index(True)
+    assert j > 0
+    calls = _counting_solves(monkeypatch)
+    assert _first_onset(spec, "g", 0.0, 0.4, 41) == 0.5 * (gs[j - 1] + gs[j])
+    assert calls == [{"vectors": False}] * (j + 1)
+
+
+def test_first_onset_at_lo_and_none(monkeypatch):
+    spec = flux_ring(24, 0.1 / 24, 0.5)  # g_c near 0.1
+    calls = _counting_solves(monkeypatch)
+    assert _first_onset(spec, "g", 1.0, 2.0, 41) == 1.0
+    assert len(calls) == 1
+    assert _first_onset(spec, "g", 0.0, 0.05, 41) is None
+    assert len(calls) == 1 + 41
+
+
+def test_csv_line():
+    row = (3, np.float64(0.1), math.nan, math.inf, "no onset")
+    assert _csv_line(row) == "3,0.10000000000000001,nan,inf,no onset\n"
