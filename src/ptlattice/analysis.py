@@ -31,6 +31,7 @@ __all__ = [
     "mean_position_curve",
     "self_similarity_deviation",
     "state_metrics_rows",
+    "STATE_METRICS_COLUMNS",
     "IMAG_CUT_FACTOR",
     "C_BOUND_CUT",
 ]
@@ -366,9 +367,14 @@ def self_similarity_deviation(curves: dict[int, np.ndarray]) -> float:
     return worst
 
 
-def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[dict]:
-    """Per-state metric rows for CSV export: index, Re E, Im E,
-    mean_position, half_asymmetry, c_fit, is_bound."""
+STATE_METRICS_COLUMNS = (
+    "index", "re_e", "im_e", "mean_position", "half_asymmetry", "c_fit", "is_bound"
+)
+
+
+def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[tuple]:
+    """Per-state metric rows for CSV export, one tuple per state in the
+    order of :data:`STATE_METRICS_COLUMNS`."""
     window = default_fit_window(spec.L, spec.max_range)
     bound = set(detect_bound_states(spectrum, spec.max_range))
     rows = []
@@ -380,14 +386,6 @@ def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[dict]:
             c_fit = float("nan")
         e = spectrum.eigenvalues[k]
         rows.append(
-            {
-                "index": k,
-                "re_e": e.real,
-                "im_e": e.imag,
-                "mean_position": mean_position(v),
-                "half_asymmetry": half_asymmetry(v),
-                "c_fit": c_fit,
-                "is_bound": int(k in bound),
-            }
+            (k, e.real, e.imag, mean_position(v), half_asymmetry(v), c_fit, int(k in bound))
         )
     return rows

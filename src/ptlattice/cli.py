@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    STATE_METRICS_COLUMNS,
     classify_spectrum,
     fit_scale_free,
     state_metrics_rows,
@@ -25,8 +26,9 @@ from .lattice import ModelSpec
 from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
-    _csv_line,
     _first_onset,
+    _write_json,
+    _write_table,
     apply_parameter,
     config_hash,
     run_sweep,
@@ -52,12 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _read(doc: dict, key: str, convert, default, what: str):
+    """convert(doc.get(key, default)); a rejected value is a config error naming key."""
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} must be {what} ({exc})") from exc
+
+
 def _numbers(doc: dict, key: str, kind, default=None) -> list:
     """doc[key] (or default when absent) as a list of kind."""
-    try:
-        return [kind(x) for x in doc.get(key, default)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be a list of numbers ({exc})") from exc
+    return _read(doc, key, lambda xs: [kind(x) for x in xs], default, "a list of numbers")
 
 
 def _or_no_onset(onset: float | None) -> float | str:
@@ -105,21 +112,14 @@ def _model_from(doc: dict, path: str = "") -> ModelSpec:
 
 
 def _sidecar(out: Path, name: str, doc: dict, overrides: list[str]) -> None:
-    doc = dict(doc)
-    doc["overrides"] = overrides
-    doc["version"] = __version__
-    (out / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out / name, {**doc, "overrides": overrides, "version": __version__})
 
 
 def _cmd_spectrum(doc: dict, out: Path, args) -> None:
     spec = _model_from(doc)
     spectrum, scale = solve(spec)
     cls = classify_spectrum(spectrum, scale, args.tol_imag)
-    rows = state_metrics_rows(spec, spectrum)
-    columns = ("index", "re_e", "im_e", "mean_position", "half_asymmetry", "c_fit", "is_bound")
-    with (out / "spectrum.csv").open("w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(_csv_line(r[c] for c in columns) for r in rows)
+    _write_table(out / "spectrum.csv", STATE_METRICS_COLUMNS, state_metrics_rows(spec, spectrum))
     _sidecar(
         out,
         "spectrum.json",
@@ -152,9 +152,9 @@ def _cmd_scan(doc: dict, out: Path, args) -> None:
         out / f"grid_{key}.json",
         {"config": doc, "overrides": args.override, "onset_uncertain": uncertain},
     )
-    with (out / f"onset_{key}.csv").open("w") as fh:
-        fh.write(f"{config.axis1.parameter},onset_{config.axis2.parameter}\n")
-        fh.writelines(_csv_line((v1, _or_no_onset(onset))) for v1, onset in onsets)
+    header = (config.axis1.parameter, f"onset_{config.axis2.parameter}")
+    rows = ((v1, _or_no_onset(onset)) for v1, onset in onsets)
+    _write_table(out / f"onset_{key}.csv", header, rows)
     print(f"grid written: grid_{key}.csv ({grid.values.shape[0]}x{grid.values.shape[1]})")
 
 
@@ -165,9 +165,7 @@ def _cmd_scaling(doc: dict, out: Path, args) -> None:
     sizes = _numbers(doc, "sizes", int)
 
     fit = fit_scale_free(base.resized, sizes)
-    with (out / "scaling.csv").open("w") as fh:
-        fh.write("L,c\n")
-        fh.writelines(_csv_line(row) for row in zip(fit.sizes, fit.c_estimates))
+    _write_table(out / "scaling.csv", ("L", "c"), zip(fit.sizes, fit.c_estimates))
     _sidecar(
         out,
         "scaling.json",
@@ -204,13 +202,12 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
     if "model" not in doc:
         raise ConfigError("nonbloch config needs key 'model'")
     spec = _model_from(doc["model"], "model")
-    resolution = int(doc.get("gamma_resolution", 2000))
+    resolution = _read(doc, "gamma_resolution", int, 2000, "a number")
     g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
     ring = _ring_parameters(spec)
     result = unitary_scan({**ring, "g_range": g_range}, resolution)
-    with (out / "unitary_scan.csv").open("w") as fh:
-        fh.write("gamma,G_plus,G_minus,discriminant_negative\n")
-        fh.writelines(_csv_line(row) for row in result.csv_rows())
+    header = ("gamma", "G_plus", "G_minus", "discriminant_negative")
+    _write_table(out / "unitary_scan.csv", header, result.csv_rows())
 
     spectrum, _ = solve(spec, vectors=False)
     worst, ill = _spectrum_audit(spec, spectrum.eigenvalues)
@@ -253,11 +250,8 @@ def _cmd_effective(doc: dict, out: Path, args) -> None:
             if g_obs is not None:
                 rel = abs(g_obs - g_pred) / g_pred
         rows.append((theta, phi, g_pred, g_printed, _or_no_onset(g_obs), rel))
-    with (out / "thresholds.csv").open("w") as fh:
-        fh.write(
-            "theta,phi,g_c_predicted,g_c_printed_form,g_c_observed,relative_error\n"
-        )
-        fh.writelines(_csv_line(row) for row in rows)
+    header = ("theta", "phi", "g_c_predicted", "g_c_printed_form", "g_c_observed", "relative_error")
+    _write_table(out / "thresholds.csv", header, rows)
     _sidecar(out, "thresholds.json", {"config": doc}, args.override)
     for theta, _, g_pred, g_printed, g_obs, _ in rows:
         print(

@@ -22,7 +22,6 @@ whole spectrum that way; :func:`characteristic_roots` and
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -241,13 +240,11 @@ def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDete
     )
 
 
-@functools.lru_cache(maxsize=16)
 def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """(p, C) with row r of the boundary matrix = sum_k C[r, k] beta^p[k, 0]:
     the residual equations at the M leftmost and M rightmost sites, including
     any boundary-localized perturbation and, on a ring, the wrap-around hops
-    carrying the total flux phase exp(+-i*theta*L).  Read-only arrays,
-    cached per spec for the per-energy :func:`boundary_determinant`."""
+    carrying the total flux phase exp(+-i*theta*L)."""
     M = spec.hoppings.max_range
     L = spec.L
     periodic = spec.boundary is Boundary.PERIODIC
@@ -288,7 +285,6 @@ def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     for r, p, c in terms:
         C[r, powers.index(p)] += c
     powers = np.array(powers, dtype=float)[:, None]
-    powers.flags.writeable = C.flags.writeable = False
     return powers, C
 
 

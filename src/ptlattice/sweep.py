@@ -137,7 +137,8 @@ def apply_parameter(spec: ModelSpec, path: str, value: float) -> ModelSpec:
 
     Paths: ``flux_theta``; ``g`` (perturbation magnitude, phases kept);
     ``phi`` (perturbation phase, with the sign of each term's imaginary
-    part, so the -0.0 of g e^(-i*0) keeps a ring's ends conjugate);
+    part; a real amplitude takes + on the left half of the chain and - on
+    the right, so a phi = 0 ring keeps its ends conjugate);
     ``t2`` (range-2 hopping amplitude; zero removes the term).  ``g`` and
     ``phi`` on a model with no perturbation raise ValueError.
     """
@@ -156,13 +157,15 @@ def apply_parameter(spec: ModelSpec, path: str, value: float) -> ModelSpec:
         )
         return dc_replace(spec, perturbations=perts)
     if path == "phi":
-        perts = tuple(
-            PerturbationTerm(
-                p.site_i,
-                p.site_j,
-                abs(p.amplitude) * cmath.exp(1j * value * math.copysign(1.0, p.amplitude.imag)),
-            )
+        # a real amplitude (Im a = +-0) takes the sign of L + 1 - 2i, which is
+        # >= 0 exactly on the left half, i <= (L + 1) / 2
+        signs = (
+            math.copysign(1.0, p.amplitude.imag or spec.L + 1 - 2 * p.site_i)
             for p in spec.perturbations
+        )
+        perts = tuple(
+            PerturbationTerm(p.site_i, p.site_j, abs(p.amplitude) * cmath.exp(1j * value * s))
+            for p, s in zip(spec.perturbations, signs)
         )
         return dc_replace(spec, perturbations=perts)
     if path == "t2":
@@ -403,12 +406,22 @@ def _csv_line(row) -> str:
     return ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n"
 
 
+def _write_table(path: str | Path, header, rows) -> None:
+    """CSV file: the header names joined by commas, then one _csv_line per row."""
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(_csv_line(row) for row in rows)
+
+
+def _write_json(path: str | Path, doc: dict) -> None:
+    """JSON sidecar: keys sorted, two-space indent, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_grid_csv(grid: PhaseGrid, path: str | Path) -> None:
     v1s, v2s = grid.axis1.values, grid.axis2.values
-    with Path(path).open("w") as fh:
-        fh.write(f"{grid.axis1.parameter},{grid.axis2.parameter},value\n")
-        for i, v1 in enumerate(v1s):
-            fh.writelines(_csv_line((v1, v2, grid.values[i, j])) for j, v2 in enumerate(v2s))
+    rows = ((v1, v2, grid.values[i, j]) for i, v1 in enumerate(v1s) for j, v2 in enumerate(v2s))
+    _write_table(path, (grid.axis1.parameter, grid.axis2.parameter, "value"), rows)
 
 
 def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = None) -> None:
@@ -419,6 +432,4 @@ def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = N
         "provenance": grid.provenance,
         "diagnostics": list(grid.diagnostics),
     }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, {**doc, **(extra or {})})

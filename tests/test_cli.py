@@ -9,6 +9,7 @@ import pytest
 
 import ptlattice
 from ptlattice.cli import main
+from ptlattice.eigen import EigensolverError
 from conftest import flux_ring, gain_chain, nnn_chain, not_rings
 
 
@@ -112,6 +113,62 @@ def test_number_list_keys_reject_scalars(tmp_path, capsys, subcommand, doc, key)
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [[2000], None, float("inf")], ids=["list", "null", "infinity"])
+def test_gamma_resolution_must_be_a_number(tmp_path, capsys, value):
+    doc = {"model": flux_ring(24, 0.4, 0.8).to_json_dict(), "gamma_resolution": value}
+    cfg = _write(tmp_path, "n.json", doc)
+    out = tmp_path / "o"
+    assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 1
+    assert "config key 'gamma_resolution'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _scan_doc() -> dict:
+    return {
+        "base_model": flux_ring(16, 0.1, 0.5, phi=math.pi / 2).to_json_dict(),
+        "axis1": {"parameter": "flux_theta", "min": 0.05, "max": 0.15, "steps": 2},
+        "axis2": {"parameter": "g", "min": 0.0, "max": 1.0, "steps": 4},
+        "metric": "PCom",
+    }
+
+
+def _bad_axis_scan(tmp_path) -> str:
+    doc = _scan_doc()
+    doc["axis1"]["parameter"] = "bogus"
+    return _write(tmp_path, "c.json", doc)
+
+
+def _not_json(tmp_path) -> str:
+    p = tmp_path / "c.json"
+    p.write_text("{not json")
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "subcommand, make_config, match",
+    [
+        ("spectrum", _not_json, "invalid JSON"),
+        ("scan", _bad_axis_scan, "unknown parameter path 'bogus'"),
+    ],
+    ids=["not_json", "unknown_parameter_path"],
+)
+def test_malformed_config_exits_1(tmp_path, capsys, subcommand, make_config, match):
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", make_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
+    assert list(out.glob("*")) == []
+
+
+def test_numerical_failure_exits_2(tmp_path, capsys, model_config, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigensolverError("eig did not converge")
+
+    monkeypatch.setattr("ptlattice.cli.solve", fail)
+    assert main(["spectrum", "--config", model_config, "--out", str(tmp_path / "o")]) == 2
+    assert "numerical failure: eig did not converge" in capsys.readouterr().err
+
+
 def test_invalid_model_is_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", {"L": 1})
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -136,6 +193,32 @@ def test_bad_override_is_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, "m.json", gain_chain(50, g=0.5).to_json_dict())
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o"), "--override", "L40"])
     assert rc == 1
+
+
+def test_override_into_a_nested_object(tmp_path):
+    doc = {"model": gain_chain(50, g=1.0).to_json_dict(), "sizes": [50, 100, 200]}
+    cfg = _write(tmp_path, "s.json", doc)
+    out = tmp_path / "o"
+    assert main(["scaling", "--config", cfg, "--out", str(out), "--override", "model.L=80"]) == 0
+    sidecar = json.loads((out / "scaling.json").read_text())
+    assert sidecar["config"]["model"]["L"] == 80
+    assert sidecar["overrides"] == ["model.L=80"]
+
+
+def test_override_keeps_a_non_json_value_as_a_string(tmp_path):
+    cfg = _write(tmp_path, "scan.json", _scan_doc())
+    out = tmp_path / "o"
+    assert main(["scan", "--config", cfg, "--out", str(out), "--override", "metric=MaxImE"]) == 0
+    sidecar = json.loads(next(out.glob("grid_*.json")).read_text())
+    assert sidecar["metric"] == sidecar["config"]["metric"] == "MaxImE"
+
+
+def test_override_into_a_non_object_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "scan.json", _scan_doc())
+    out = tmp_path / "o"
+    assert main(["scan", "--config", cfg, "--out", str(out), "--override", "metric.x=1"]) == 1
+    assert "'metric' is not an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tol_imag_flag(tmp_path):
@@ -188,6 +271,22 @@ def test_criterion_prints_window(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "PT-breaking window" in text
     assert (out / "criterion.json").exists()
+
+
+def test_criterion_lists_window_violations(tmp_path, capsys):
+    # one gain site and nearest-neighbour hopping: no equal-energy window, so
+    # every complex state of the continuum is a violation
+    cfg = _write(tmp_path, "m.json", gain_chain(60, g=0.5).to_json_dict())
+    out = tmp_path / "o"
+    assert main(["criterion", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "criterion.json").read_text())
+    assert report["window"] == []
+    assert len(report["violations"]) == 60
+    assert [v["index"] for v in report["violations"]] == list(range(60))
+    assert all(set(v) == {"index", "reE", "imE"} and v["imE"] != 0 for v in report["violations"])
+    text = capsys.readouterr().out
+    assert "PT-breaking window: empty" in text
+    assert "inside window: False (60 violations)" in text
 
 
 def test_criterion_rejects_ring(tmp_path, capsys):
@@ -245,6 +344,43 @@ def test_effective_subcommand(tmp_path, capsys):
     lines = (out / "thresholds.csv").read_text().splitlines()
     assert lines[0].startswith("theta,phi,g_c_predicted")
     assert len(lines) == 2
+
+
+# subcommand: (config, {CSV file pattern: header line})
+_OUTPUTS = {
+    "spectrum": (
+        gain_chain(30).to_json_dict(),
+        {"spectrum.csv": "index,re_e,im_e,mean_position,half_asymmetry,c_fit,is_bound"},
+    ),
+    "scan": (_scan_doc(), {"grid_*.csv": "flux_theta,g,value", "onset_*.csv": "flux_theta,onset_g"}),
+    "scaling": ({"model": gain_chain(50).to_json_dict(), "sizes": [50, 100, 200]}, {"scaling.csv": "L,c"}),
+    "criterion": (nnn_chain(60, 1.0, 0.5, 0.8).to_json_dict(), {}),
+    "nonbloch": (
+        {"model": flux_ring(24, 0.4, 0.8).to_json_dict(), "gamma_resolution": 1200, "g_range": [0.0, 1.5]},
+        {"unitary_scan.csv": "gamma,G_plus,G_minus,discriminant_negative"},
+    ),
+    "effective": (
+        {"model": flux_ring(60, 0.005, 0.5).to_json_dict(), "thetas": [0.005]},
+        {"thresholds.csv": "theta,phi,g_c_predicted,g_c_printed_form,g_c_observed,relative_error"},
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OUTPUTS))
+def test_output_file_formats(tmp_path, subcommand):
+    # CSV header lines are part of the CLI contract; every sidecar (all JSON
+    # but criterion.json) is sorted, indented by two and ends in a newline
+    doc, headers = _OUTPUTS[subcommand]
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    for pattern, header in headers.items():
+        (path,) = out.glob(pattern)
+        assert path.read_text().splitlines()[0] == header
+    sidecars = [p for p in out.glob("*.json") if p.name != "criterion.json"]
+    assert len(sidecars) == 1
+    text = sidecars[0].read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 _RING_CONFIGS = {"nonbloch": {"g_range": [0.0, 1.5]}, "effective": {"thetas": [0.005]}}

@@ -96,6 +96,25 @@ def test_phi_axis_keeps_a_phi_zero_ring_pt_symmetric():
     assert _ring_parameters(swept)["phi"] == 1.0
 
 
+@pytest.mark.parametrize("end", [{"re": 0.5, "im": 0.0}, {"re": 0.5}], ids=["im_plus_zero", "no_im"])
+def test_phi_axis_keeps_a_real_ended_ring_pt_symmetric(end):
+    # ends written as real numbers carry Im = +0.0 at both sites, which once
+    # gave both ends e^(+i phi)
+    ring = ModelSpec.from_json_dict(
+        {
+            "L": 10,
+            "boundary": "periodic",
+            "hoppings": [{"range": 1, "re": 1.0}],
+            "flux_theta": 0.2,
+            "perturbations": [{"i": 1, "j": 1, **end}, {"i": 10, "j": 10, **end}],
+        }
+    )
+    assert _ring_parameters(ring)["phi"] == 0.0
+    swept = apply_parameter(ring, "phi", 1.0)
+    assert is_pt_symmetric(swept)
+    assert _ring_parameters(swept)["phi"] == 1.0
+
+
 @pytest.mark.parametrize("path", ["g", "phi"])
 def test_apply_parameter_needs_a_perturbation(path):
     spec = dc_replace(flux_ring(10, 0.2, 0.5), perturbations=())
