@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .bands import criterion_check
 from .eigen import EigensolverError, solve
-from .lattice import ModelSpec
+from .lattice import ModelSpec, _integer
 from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
@@ -91,11 +91,10 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 
 def _load_config(path: str, overrides: list[str]) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: cannot read it ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -162,7 +161,7 @@ def _cmd_scaling(doc: dict, out: Path, args) -> None:
     if "model" not in doc or "sizes" not in doc:
         raise ConfigError("scaling config needs keys 'model' and 'sizes'")
     base = _model_from(doc["model"], "model")
-    sizes = _numbers(doc, "sizes", int)
+    sizes = _numbers(doc, "sizes", _integer)
 
     fit = fit_scale_free(base.resized, sizes)
     _write_table(out / "scaling.csv", ("L", "c"), zip(fit.sizes, fit.c_estimates))
@@ -202,7 +201,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
     if "model" not in doc:
         raise ConfigError("nonbloch config needs key 'model'")
     spec = _model_from(doc["model"], "model")
-    resolution = _read(doc, "gamma_resolution", int, 2000, "a number")
+    resolution = _read(doc, "gamma_resolution", _integer, 2000, "an integer")
     g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
     ring = _ring_parameters(spec)
     result = unitary_scan({**ring, "g_range": g_range}, resolution)
@@ -296,7 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         doc = _load_config(args.config, args.override)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {out}: cannot create it ({exc})") from exc
         _COMMANDS[args.subcommand](doc, out, args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

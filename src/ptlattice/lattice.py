@@ -161,16 +161,18 @@ class ModelSpec:
         try:
             hoppings = HoppingSet(
                 tuple(
-                    (int(h["range"]), complex(h["re"], h.get("im", 0.0)))
+                    (_integer(h["range"], "range"), complex(h["re"], h.get("im", 0.0)))
                     for h in doc["hoppings"]
                 )
             )
             perts = tuple(
-                PerturbationTerm(int(p["i"]), int(p["j"]), complex(p["re"], p.get("im", 0.0)))
+                PerturbationTerm(
+                    _integer(p["i"], "i"), _integer(p["j"], "j"), complex(p["re"], p.get("im", 0.0))
+                )
                 for p in doc.get("perturbations", [])
             )
             return cls(
-                L=int(doc["L"]),
+                L=_integer(doc["L"], "L"),
                 boundary=Boundary(doc["boundary"]),
                 hoppings=hoppings,
                 flux_theta=float(doc.get("flux_theta", 0.0)),
@@ -184,24 +186,30 @@ class ModelSpec:
         return cls.from_json_dict(json.loads(text))
 
 
+def _integer(value, name: str = "value") -> int:
+    """value as an int: an int, or a float (or numeric string) whose value is
+    a finite integer, such as 60.0.  A bool, a fraction or a non-finite
+    number raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
+
+
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Assemble the dense L x L complex Hamiltonian of a model."""
+    """Assemble the dense L x L complex Hamiltonian of a model: the range-n
+    bonds i -> (i + n) mod L (0-based), i < L - n on a chain and all i on a ring."""
     L = spec.L
     H = np.zeros((L, L), dtype=np.complex128)
     periodic = spec.boundary is Boundary.PERIODIC
     theta = spec.flux_theta if periodic else 0.0
     for n, amp in spec.hoppings.items():
-        phase = cmath.exp(1j * n * theta)
-        fwd = amp * phase
-        bwd = np.conj(amp) * np.conj(phase)
-        for i in range(L - n):
-            H[i, i + n] += fwd
-            H[i + n, i] += bwd
-        if periodic:
-            for i in range(L - n, L):
-                j = i + n - L
-                H[i, j] += fwd
-                H[j, i] += bwd
+        fwd = amp * cmath.exp(1j * n * theta)
+        i = np.arange(L if periodic else L - n)
+        j = (i + n) % L
+        H[i, j] += fwd
+        H[j, i] += fwd.conjugate()
     for p in spec.perturbations:
         H[p.site_i - 1, p.site_j - 1] += p.amplitude
     return H

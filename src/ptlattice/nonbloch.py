@@ -242,43 +242,33 @@ def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDete
 
 def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """(p, C) with row r of the boundary matrix = sum_k C[r, k] beta^p[k, 0]:
-    the residual equations at the M leftmost and M rightmost sites, including
-    any boundary-localized perturbation and, on a ring, the wrap-around hops
-    carrying the total flux phase exp(+-i*theta*L)."""
+    the residual equations at sites 1..M and L-M+1..L, in that order.  Each
+    bond i -> j = i + n - L (i = L-n+1..L) that closes a ring is missing from
+    the bulk equation in row i (-t beta^(i+n)) and row j (-conj(t) beta^(j-n));
+    on a ring it is there, carrying the total flux w = exp(i*theta*L) of the
+    gauge with bare bulk hoppings: t w beta^j in row i, conj(t w) beta^i in
+    row j.  Perturbations, rephased by that gauge, follow."""
     M = spec.hoppings.max_range
     L = spec.L
     periodic = spec.boundary is Boundary.PERIODIC
     wrap = cmath.exp(1j * spec.flux_theta * L)
-    left_rows = set(range(1, M + 1))
-    right_rows = set(range(L - M + 1, L + 1))
+    rows = {s: r for r, s in enumerate([*range(1, M + 1), *range(L - M + 1, L + 1)])}
 
-    # Gauge frame with bare bulk hoppings: perturbations pick up the phase
-    # exp(i*theta*(i - j)).
-    pert_by_row: dict[int, list[tuple[int, complex]]] = {}
+    terms: list[tuple[int, int, complex]] = []  # (row, power, coefficient)
+    for n, t in spec.hoppings.items():
+        for i in range(L - n + 1, L + 1):
+            j = i + n - L
+            terms += [(rows[i], i + n, -t), (rows[j], j - n, -np.conj(t))]
+            if periodic:
+                terms += [(rows[i], j, t * wrap), (rows[j], i, np.conj(t) * np.conj(wrap))]
     for p in spec.perturbations:
-        if p.site_i not in left_rows and p.site_i not in right_rows:
+        if p.site_i not in rows:
             raise ValueError(
                 f"perturbation row {p.site_i} lies outside the boundary "
                 f"sites 1..{M} and {L - M + 1}..{L}"
             )
         amp = p.amplitude * cmath.exp(1j * spec.flux_theta * (p.site_i - p.site_j))
-        pert_by_row.setdefault(p.site_i, []).append((p.site_j, amp))
-
-    terms: list[tuple[int, int, complex]] = []  # (row, power, coefficient)
-    for r, j in enumerate(sorted(left_rows | right_rows)):
-        if j in left_rows:
-            for n, t in spec.hoppings.items():
-                if n >= j:
-                    terms.append((r, j - n, -np.conj(t)))
-                    if periodic:
-                        terms.append((r, j - n + L, np.conj(t) * np.conj(wrap)))
-        else:
-            for n, t in spec.hoppings.items():
-                if n >= L + 1 - j:
-                    terms.append((r, j + n, -t))
-                    if periodic:
-                        terms.append((r, j + n - L, t * wrap))
-        terms.extend((r, m, amp) for m, amp in pert_by_row.get(j, ()))
+        terms.append((rows[p.site_i], p.site_j, amp))
 
     powers = sorted({p for _, p, _ in terms})
     C = np.zeros((2 * M, len(powers)), dtype=complex)

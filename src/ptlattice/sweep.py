@@ -24,7 +24,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from .analysis import _continuum, classify_spectrum
 from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_values
-from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
+from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _integer
 
 __all__ = [
     "Metric",
@@ -74,6 +73,8 @@ class AxisSpec:
             )
         if self.steps < 2:
             raise ValueError("axis needs at least 2 steps")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"axis {self.parameter!r} needs finite min and max")
 
     @property
     def values(self) -> np.ndarray:
@@ -93,7 +94,7 @@ class AxisSpec:
             parameter=str(d["parameter"]),
             min=float(d["min"]),
             max=float(d["max"]),
-            steps=int(d["steps"]),
+            steps=_integer(d["steps"], "steps"),
         )
 
 
@@ -288,20 +289,22 @@ def run_sweep(
     # consecutive points by index, so chunks do not depend on the workers
     chunks = [todo[n : n + stack] for n in range(0, len(todo), stack)]
     diagnostics: list[str] = []
-    lock = threading.Lock()
 
-    def worker(chunk: list[tuple[int, int]]) -> list[tuple[int, int, float, int]]:
+    def worker(
+        chunk: list[tuple[int, int]]
+    ) -> tuple[list[tuple[int, int, float, int]], list[str]]:
+        """The chunk's (i, j, metric, near_cut) rows and its diagnostics."""
         try:
             solved = _chunk_metrics(config, [(float(v1s[i]), float(v2s[j])) for i, j in chunk])
         except EigensolverError as exc:
             if len(chunk) > 1:
                 # one bad matrix fails its whole stack: solve each point
                 # alone, so that only the failing points become NaN
-                return [row for ij in chunk for row in worker([ij])]
-            with lock:
-                diagnostics.append(f"point ({chunk[0][0]},{chunk[0][1]}): {exc}")
-            solved = [(math.nan, 0)]
-        return [(i, j, val, near) for (i, j), (val, near) in zip(chunk, solved)]
+                parts = [worker([ij]) for ij in chunk]
+                return [r for rows, _ in parts for r in rows], [d for _, ds in parts for d in ds]
+            i, j = chunk[0]
+            return [(i, j, math.nan, 0)], [f"point ({i},{j}): {exc}"]
+        return [(i, j, val, near) for (i, j), (val, near) in zip(chunk, solved)], []
 
     results = dict(cached)
     near_cut_points = []
@@ -311,13 +314,15 @@ def run_sweep(
         # ThreadPoolExecutor's own default when threads is None
         workers = threads if threads is not None else min(32, (os.cpu_count() or 1) + 4)
         with _single_threaded_blas() as blas_threads, ThreadPoolExecutor(workers) as pool:
-            for rows in pool.map(worker, chunks):
+            # map yields in chunk order, so diagnostics do not depend on timing
+            for rows, notes in pool.map(worker, chunks):
+                diagnostics.extend(notes)
                 for i, j, val, near in rows:
                     results[(i, j)] = val
                     if near > 0:
                         near_cut_points.append([i, j])
                 if cache_file is not None:
-                    with lock, cache_file.open("a") as fh:
+                    with cache_file.open("a") as fh:
                         fh.writelines(_csv_line((i, j, val)) for i, j, val, _ in rows)
 
     grid = np.full((len(v1s), len(v2s)), math.nan)

@@ -424,3 +424,59 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("where", ["config", "out"])
+def test_file_errors_exit_1(tmp_path, capsys, model_config, where):
+    # --config naming a directory, --out naming an existing file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config, out = (str(tmp_path), tmp_path / "o") if where == "config" else (model_config, blocker)
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _with(doc: dict, path: str, value) -> dict:
+    """A copy of doc with the value at a dotted path (list indices as numbers) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+_RING = flux_ring(24, 0.4, 0.8).to_json_dict()
+_CHAIN = gain_chain(50).to_json_dict()
+_INTEGER_CASES = {
+    "L_fraction": ("spectrum", _CHAIN, "L", 10.7),
+    "L_infinity": ("spectrum", _RING, "L", float("inf")),
+    "L_bool": ("spectrum", _RING, "L", True),
+    "range_bool": ("spectrum", _RING, "hoppings.0.range", True),
+    "range_fraction": ("spectrum", _RING, "hoppings.0.range", 1.5),
+    "site_fraction": ("spectrum", _RING, "perturbations.0.i", 1.5),
+    "site_bool": ("spectrum", _RING, "perturbations.0.j", True),
+    "steps_fraction": ("scan", _scan_doc(), "axis1.steps", 3.9),
+    "steps_infinity": ("scan", _scan_doc(), "axis2.steps", float("inf")),
+    "axis_min_nan": ("scan", _scan_doc(), "axis2.min", float("nan")),
+    "sizes_fraction": ("scaling", {"model": _CHAIN, "sizes": [60, 90, 120]}, "sizes.2", 120.5),
+    "gamma_resolution_fraction": ("nonbloch", {"model": _RING}, "gamma_resolution", 2000.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGER_CASES))
+def test_integer_keys_reject_fractions_bools_and_non_finite(tmp_path, capsys, case):
+    subcommand, doc, path, value = _INTEGER_CASES[case]
+    cfg = _write(tmp_path, "c.json", _with(doc, path, value))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    match = "finite min and max" if math.isnan(value) else f"must be an integer, got {value!r}"
+    assert "config error" in err and match in err
+
+
+def test_integral_float_size_runs(tmp_path):
+    cfg = _write(tmp_path, "c.json", {**_CHAIN, "L": 60.0})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 61

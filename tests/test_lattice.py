@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -206,3 +207,35 @@ def test_resized_moves_right_edge_bonds():
         perturbations=(PerturbationTerm(1, 2, 0.3j), PerturbationTerm(39, 40, -0.3j)),
     )
     assert small.resized(40) == expected
+
+
+_HOPPINGS = {
+    1: ((1, 0.8 - 0.3j),),
+    2: ((1, 1.0), (2, 0.4 + 0.2j)),
+    3: ((1, 1.0), (2, -0.3 + 0.1j), (3, 0.2 + 0.15j)),
+}
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("M", sorted(_HOPPINGS))
+@pytest.mark.parametrize("size", ["2M+1", "2M+2", "40"])
+def test_build_hamiltonian_matches_elementwise_reference(boundary, M, size):
+    L = {"2M+1": 2 * M + 1, "2M+2": 2 * M + 2, "40": 40}[size]
+    theta = 0.37
+    spec = ModelSpec(
+        L=L,
+        boundary=boundary,
+        hoppings=HoppingSet(_HOPPINGS[M]),
+        flux_theta=theta,
+        perturbations=(PerturbationTerm(1, 1, 0.5j), PerturbationTerm(L, 2, 0.2 - 0.1j)),
+    )
+    periodic = boundary is Boundary.PERIODIC
+    H = np.zeros((L, L), complex)
+    for n, t in spec.hoppings.items():
+        hop = t * cmath.exp(1j * n * theta) if periodic else t
+        for i in range(L if periodic else L - n):
+            H[i, (i + n) % L] += hop
+            H[(i + n) % L, i] += np.conj(hop)
+    H[0, 0] += 0.5j
+    H[L - 1, 1] += 0.2 - 0.1j
+    assert np.array_equal(build_hamiltonian(spec), H)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from ptlattice import (
     BetaRootSet,
+    Boundary,
     HoppingSet,
+    ModelSpec,
+    PerturbationTerm,
     boundary_determinant,
     build_hamiltonian,
     characteristic_roots,
@@ -502,3 +505,43 @@ def test_ring_phase_read_from_site_1():
     assert ring["g"] == pytest.approx(0.8, abs=1e-15)
     sols = asymptotic_broken_solver(flipped)
     assert sols and sols == asymptotic_broken_solver(spec)
+
+
+def _long_range_ring(M: int, L: int) -> ModelSpec:
+    """Ring with hoppings up to range M, flux, gain/loss at the ends and two
+    off-diagonal terms in boundary rows."""
+    hoppings = {2: ((1, 1.0), (2, 0.4 + 0.2j)), 3: ((1, 1.0), (2, 0.3 - 0.1j), (3, 0.2 + 0.15j))}
+    perts = (
+        PerturbationTerm(1, 1, 0.5j),
+        PerturbationTerm(L, L, -0.5j),
+        PerturbationTerm(2, L - 1, 0.3 + 0.2j),
+        PerturbationTerm(L, 2, -0.25 + 0.1j),
+    )
+    return ModelSpec(
+        L=L,
+        boundary=Boundary.PERIODIC,
+        hoppings=HoppingSet(hoppings[M]),
+        flux_theta=0.37,
+        perturbations=perts,
+    )
+
+
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("size", ["2M+1", "2M+2", "24"])
+def test_boundary_determinant_on_long_range_rings(M, size):
+    # every closing bond of ranges 2 and 3 enters two boundary rows
+    L = {"2M+1": 2 * M + 1, "2M+2": 2 * M + 2, "24": 24}[size]
+    spec = _long_range_ring(M, L)
+    vals = eig(build_hamiltonian(spec)).eigenvalues
+
+    def magnitude(E):
+        return boundary_determinant(spec, characteristic_roots(spec.hoppings, E)).normalized_magnitude
+
+    assert max(magnitude(complex(E)) for E in vals) < 1e-10
+    rng = np.random.default_rng(L)
+    off = []
+    while len(off) < 20:
+        E = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
+        if np.min(np.abs(vals - E)) >= 0.1:
+            off.append(magnitude(E))
+    assert min(off) > 1e-3

@@ -586,3 +586,36 @@ def test_first_onset_at_lo_and_none(monkeypatch):
 def test_csv_line():
     row = (3, np.float64(0.1), math.nan, math.inf, "no onset")
     assert _csv_line(row) == "3,0.10000000000000001,nan,inf,no onset\n"
+
+
+def test_sweep_diagnostics_in_grid_order(monkeypatch):
+    # an open chain solves one point per chunk; the chunk of g-index 1 fails
+    # only after the one of g-index 7 has failed and the next chunk has run
+    cfg = SweepConfig(
+        base_model=nnn_chain(12, 1.0, 0.0, 0.5),
+        axis1=AxisSpec("t2", 0.1, 0.2, 2),
+        axis2=AxisSpec("g", 0.0, 1.0, 10),
+        metric=Metric.PCOM,
+    )
+    g1, g7, g8 = (float(cfg.axis2.values[j]) for j in (1, 7, 8))
+    v1 = float(cfg.axis1.values[0])
+
+    def diagnostics(threads):
+        later_failed = threading.Event()
+
+        def stub(config, points):
+            ((a, g),) = points
+            if a == v1 and g == g1 and threads > 1:
+                assert later_failed.wait(timeout=30)
+            if a == v1 and g == g8:
+                later_failed.set()
+            if a == v1 and g in (g1, g7):
+                raise EigensolverError(f"failure at g = {g}")
+            return [(0.0, 0)]
+
+        monkeypatch.setattr(sweep, "_chunk_metrics", stub)
+        return run_sweep(cfg, threads=threads).diagnostics
+
+    serial = diagnostics(1)
+    assert [d.split(":")[0] for d in serial] == ["point (0,1)", "point (0,7)"]
+    assert diagnostics(2) == serial
