@@ -7,6 +7,7 @@ the separation of isolated bound states from the continuous spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,10 +78,13 @@ class ScaleFreeFit:
 def classify_spectrum(
     spectrum: Spectrum, scale: float, tol_imag: float | None = None
 ) -> SpectrumClassification:
-    """Split eigenvalues into real and complex at tol_imag = 1e-8 * scale."""
+    """Split eigenvalues into real and complex at tol_imag = 1e-8 * scale.
+    An explicit tol_imag must be finite and non-negative."""
     if scale <= 0:
         raise ValueError("scale must be positive (pass the Frobenius norm)")
     tol = IMAG_CUT_FACTOR * scale if tol_imag is None else float(tol_imag)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol_imag must be finite and non-negative, got {tol_imag}")
     values = spectrum.eigenvalues
     im = np.abs(values.imag)
     complex_idx = tuple(int(i) for i in np.flatnonzero(im > tol))

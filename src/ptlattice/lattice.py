@@ -7,7 +7,9 @@ Flux convention (the single source of sign truth): on a periodic chain the
 matrix element H[i, i+1] (1-based) carries t*exp(i*theta) and the wrap-around
 element H[L, 1] carries t*exp(i*theta); conjugate elements carry
 exp(-i*theta).  A hop of range n picks up exp(i*n*theta) with the same
-orientation, so the total flux through the ring is Phi = L*theta.
+orientation, so the total flux through the ring is Phi = L*theta.  An open
+chain carries no flux in any layer: ``flux_theta`` is read on rings only.
+The non-Bloch oracle reads a ring through :func:`apply_gauge_transform`.
 """
 
 from __future__ import annotations

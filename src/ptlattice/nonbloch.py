@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigvals
-from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
+from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec, apply_gauge_transform
 
 __all__ = [
     "BetaRootSet",
@@ -48,6 +48,10 @@ _RESIDUAL_TOL = 1e-9
 _EP_ROOT_TOL = 1e-6
 _POLE_TOL = 1e-14
 _TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
+# column norm, relative to the norm of the magnitudes of the terms it sums,
+# at or below which one root alone solves the boundary rows; 0.05 or more
+# off the spectrum of 1000 random models the ratio stays above 1.2e-3
+_ONE_ROOT_TOL = 1e-6
 _N_G = 501  # g/t grid of the broken-interval count
 
 
@@ -85,7 +89,9 @@ class BoundaryDeterminant:
 
     Columns of the boundary matrix are pre-scaled by |beta|^(-L/2) so the
     evaluation stays finite for |beta| far from 1 at large L; ``value`` is
-    zero iff the true determinant is zero.
+    zero iff the true determinant is zero.  A column that cancels to 1e-6 of
+    the magnitudes of the terms it sums has its norm reported as 0: that
+    root alone solves the boundary rows, as each eigenstate of a clean ring.
 
     ``ill_conditioned`` marks two roots within a relative 1e-6, as at the
     double roots of band critical values.  Out of scope: the fourfold root
@@ -99,11 +105,9 @@ class BoundaryDeterminant:
 
     @property
     def normalized_magnitude(self) -> float:
-        """|value| divided by the product of scaled column norms."""
-        prod = math.prod(self.column_norms)
-        if prod == 0:
-            return math.inf
-        return abs(self.value) / prod
+        """|value| divided by the product of scaled column norms, and 0 when
+        a column norm is 0 (one root alone solves the boundary rows)."""
+        return float(_normalized_magnitude(self.value, np.array(self.column_norms)))
 
 
 @dataclass(frozen=True)
@@ -245,13 +249,13 @@ def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     the residual equations at sites 1..M and L-M+1..L, in that order.  Each
     bond i -> j = i + n - L (i = L-n+1..L) that closes a ring is missing from
     the bulk equation in row i (-t beta^(i+n)) and row j (-conj(t) beta^(j-n));
-    on a ring it is there, carrying the total flux w = exp(i*theta*L) of the
-    gauge with bare bulk hoppings: t w beta^j in row i, conj(t w) beta^i in
-    row j.  Perturbations, rephased by that gauge, follow."""
+    on a ring it is there: t beta^j in row i, conj(t) beta^i in row j, read
+    through :func:`apply_gauge_transform` (bare bulk t, the flux on closing
+    bonds); an open chain is read as given.  Perturbations follow."""
     M = spec.hoppings.max_range
     L = spec.L
     periodic = spec.boundary is Boundary.PERIODIC
-    wrap = cmath.exp(1j * spec.flux_theta * L)
+    spec = apply_gauge_transform(spec) if periodic else spec
     rows = {s: r for r, s in enumerate([*range(1, M + 1), *range(L - M + 1, L + 1)])}
 
     terms: list[tuple[int, int, complex]] = []  # (row, power, coefficient)
@@ -260,15 +264,14 @@ def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
             j = i + n - L
             terms += [(rows[i], i + n, -t), (rows[j], j - n, -np.conj(t))]
             if periodic:
-                terms += [(rows[i], j, t * wrap), (rows[j], i, np.conj(t) * np.conj(wrap))]
+                terms += [(rows[i], j, t), (rows[j], i, np.conj(t))]
     for p in spec.perturbations:
         if p.site_i not in rows:
             raise ValueError(
                 f"perturbation row {p.site_i} lies outside the boundary "
                 f"sites 1..{M} and {L - M + 1}..{L}"
             )
-        amp = p.amplitude * cmath.exp(1j * spec.flux_theta * (p.site_i - p.site_j))
-        terms.append((rows[p.site_i], p.site_j, amp))
+        terms.append((rows[p.site_i], p.site_j, p.amplitude))
 
     powers = sorted({p for _, p, _ in terms})
     C = np.zeros((2 * M, len(powers)), dtype=complex)
@@ -286,7 +289,9 @@ def _boundary_stack(
 
     Column s of a matrix is C beta_s^p |beta_s|^(-L/2) (see
     :func:`_boundary_coefficients`), computed in log form; row k of each
-    array is :func:`boundary_determinant` of ``roots[k]``.  One
+    array is :func:`boundary_determinant` of ``roots[k]``.  A column norm
+    at most _ONE_ROOT_TOL times || |C| |beta_s^p| ||, the norm of the
+    magnitudes of the terms the column sums, is reported as 0.  One
     RuntimeWarning, with the count, covers every ill-conditioned row.
     """
     N, n_roots = roots.shape
@@ -311,7 +316,20 @@ def _boundary_stack(
     # (N, P, 2M): beta_s^p |beta_s|^(-L/2) for each power p
     scaled = np.exp(powers * np.log(roots)[:, None] - half_L * log_abs[:, None])
     F = C @ scaled
-    return np.linalg.det(F), half_L * log_abs.sum(axis=1), np.linalg.norm(F, axis=1), ill
+    norms = np.linalg.norm(F, axis=1)
+    norms[norms <= _ONE_ROOT_TOL * np.linalg.norm(abs(C) @ abs(scaled), axis=1)] = 0.0
+    return np.linalg.det(F), half_L * log_abs.sum(axis=1), norms, ill
+
+
+def _normalized_magnitude(value: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """|value| over the product of ``norms`` along the last axis, as
+    :func:`_boundary_stack` returns them: 0 where a column norm is 0, inf
+    where only the product underflows to 0.  |value| is hypot(Re, Im), as
+    Python's abs takes it."""
+    prod = np.prod(norms, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitude = np.where(prod == 0, math.inf, np.hypot(value.real, value.imag) / prod)
+    return np.where((norms == 0).any(axis=-1), 0.0, magnitude)
 
 
 def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, int]:
@@ -320,10 +338,7 @@ def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, int]:
     :attr:`BoundaryDeterminant.normalized_magnitude`) over ``energies``, and
     how many of them have an ill-conditioned boundary matrix."""
     value, _, norms, ill = _boundary_stack(spec, _root_stack(spec.hoppings, energies))
-    prod = np.prod(norms, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        magnitude = np.where(prod == 0, math.inf, np.abs(value) / prod)
-    return float(np.max(magnitude)), int(np.count_nonzero(ill))
+    return float(np.max(_normalized_magnitude(value, norms))), int(np.count_nonzero(ill))
 
 
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:

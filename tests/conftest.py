@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ptlattice import HoppingSet, ModelSpec, PerturbationTerm
+from ptlattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm
 
 
 def gain_chain(L: int, t: float = 1.0, g: float = 1.0) -> ModelSpec:
@@ -54,6 +55,31 @@ def nnn_chain(L: int, t1: float, t2: float, g: float) -> ModelSpec:
                 {"i": L, "j": L, "re": 0.0, "im": -g},
             ],
         }
+    )
+
+
+def random_model(seed: int) -> ModelSpec:
+    """A seeded random chain: open or periodic, complex hoppings of every
+    range 1..M (M = 1..3), a flux in [0, 2pi) on either boundary, L from
+    2M + 1 to 40, and 0-4 complex terms |i><j| with i on one of the 2M
+    boundary sites and j anywhere, so clean chains and rings occur too."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
+    L = int(rng.integers(2 * M + 1, 41))
+    edges = [*range(1, M + 1), *range(L - M + 1, L + 1)]
+    return ModelSpec(
+        L=L,
+        boundary=Boundary.PERIODIC if rng.random() < 0.5 else Boundary.OPEN,
+        hoppings=HoppingSet(
+            tuple((n, complex(*rng.normal(size=2))) for n in range(1, M + 1))
+        ),
+        flux_theta=rng.uniform(0.0, 2.0 * math.pi),
+        perturbations=tuple(
+            PerturbationTerm(
+                int(rng.choice(edges)), int(rng.integers(1, L + 1)), complex(*rng.normal(size=2))
+            )
+            for _ in range(rng.integers(0, 5))
+        ),
     )
 
 

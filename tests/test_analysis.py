@@ -128,6 +128,14 @@ def test_classify_explicit_tolerance():
     assert tight.n_com == 1
 
 
+def test_classify_rejects_a_meaningless_tolerance():
+    H = np.diag([0.0, 1.0, 2.0 + 1e-6j]).astype(complex)
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_imag"):
+            classify_spectrum(eig(H), 1.0, tol_imag=bad)
+    assert classify_spectrum(eig(H), 1.0, tol_imag=0.0).n_com == 1
+
+
 def test_detect_bound_states_above_onset():
     spec = gain_chain(100, g=1.5)
     spectrum = eig(build_hamiltonian(spec))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,15 @@ def test_tol_imag_flag(tmp_path):
     assert sidecar["tol_imag"] == 10.0
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_meaningless_tol_imag_exits_1(tmp_path, capsys, tol):
+    cfg = _write(tmp_path, "m.json", gain_chain(50, g=1.5).to_json_dict())
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--tol-imag", tol]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (out / "spectrum.json").exists()
+
+
 def test_scan_writes_grid_and_onsets(tmp_path):
     doc = {
         "base_model": flux_ring(16, 0.1, 0.5, phi=math.pi / 2).to_json_dict(),
@@ -318,6 +328,16 @@ def test_nonbloch_subcommand(tmp_path, capsys):
     sidecar = json.loads((out / "nonbloch.json").read_text())
     assert sidecar["max_normalized_boundary_det"] < 1e-6
     assert sidecar["ill_conditioned"] == 0
+
+
+def test_nonbloch_audits_a_clean_ring(tmp_path):
+    # each eigenstate of a clean ring is one plane wave: one column of the
+    # boundary matrix cancels on its own, and the audit must read that as 0
+    ring = replace(flux_ring(24, 0.4, 0.0), perturbations=())
+    cfg = _write(tmp_path, "n.json", {"model": ring.to_json_dict()})
+    out = tmp_path / "o"
+    assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "nonbloch.json").read_text())["max_normalized_boundary_det"] < 1e-9
 
 
 @pytest.mark.parametrize("g_range", [[1.5, 0.0], [0.0, float("nan")]])

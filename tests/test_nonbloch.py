@@ -27,8 +27,14 @@ from ptlattice import (
 )
 from ptlattice.analysis import default_fit_window, fit_decay_constant, localization_constant
 from ptlattice import nonbloch
-from ptlattice.nonbloch import _boundary_stack, _root_stack, _spectrum_audit, asymptotic_energy
-from conftest import flux_ring, gain_chain, nnn_chain, not_rings
+from ptlattice.nonbloch import (
+    _boundary_stack,
+    _normalized_magnitude,
+    _root_stack,
+    _spectrum_audit,
+    asymptotic_energy,
+)
+from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
 
 
 NN = HoppingSet(terms=((1, 1.0 + 0j),))
@@ -545,3 +551,57 @@ def test_boundary_determinant_on_long_range_rings(M, size):
         if np.min(np.abs(vals - E)) >= 0.1:
             off.append(magnitude(E))
     assert min(off) > 1e-3
+
+
+def test_oracle_reads_an_open_chain_without_flux():
+    # build_hamiltonian gives an open chain no flux, so theta must not
+    # reach the boundary rows of its off-diagonal corner terms either
+    def chain(theta):
+        return ModelSpec(
+            L=20,
+            boundary=Boundary.OPEN,
+            hoppings=NN,
+            flux_theta=theta,
+            perturbations=(PerturbationTerm(1, 20, 0.6), PerturbationTerm(20, 1, 0.6)),
+        )
+
+    plain, threaded = chain(0.0), chain(0.5)
+    assert np.array_equal(build_hamiltonian(plain), build_hamiltonian(threaded))
+    values = solve(plain, vectors=False)[0].eigenvalues
+    for spec in (plain, threaded):
+        assert _spectrum_audit(spec, values)[0] <= 1e-10
+    for E in [*values[:3], 0.3 + 0.2j]:
+        rs = characteristic_roots(NN, complex(E))
+        assert boundary_determinant(plain, rs) == boundary_determinant(threaded, rs)
+
+
+def _probe_energies(values: np.ndarray, rng: np.random.Generator, n: int = 10) -> np.ndarray:
+    """n energies in the spectrum's bounding box grown by 1, each at least
+    0.05 from every eigenvalue (criterion 6's probe rule)."""
+    lo = complex(values.real.min(), values.imag.min()) - (1 + 1j)
+    hi = complex(values.real.max(), values.imag.max()) + (1 + 1j)
+    probes = []
+    while len(probes) < n:
+        E = complex(rng.uniform(lo.real, hi.real), rng.uniform(lo.imag, hi.imag))
+        if np.min(np.abs(values - E)) >= 0.05:
+            probes.append(E)
+    return np.array(probes)
+
+
+@pytest.mark.filterwarnings("ignore:coincident beta roots:RuntimeWarning")
+def test_oracle_on_random_models():
+    # the spectrum of every model, flux on open chains and clean rings
+    # included, zeroes the boundary determinant; energies off it do not
+    failures = []
+    for seed in range(1000):
+        spec = random_model(seed)
+        values = solve(spec, vectors=False)[0].eigenvalues
+        energies = np.concatenate([values, _probe_energies(values, np.random.default_rng(seed))])
+        value, _, norms, ill = _boundary_stack(spec, _root_stack(spec.hoppings, energies))
+        magnitude = _normalized_magnitude(value, norms)
+        on, off = magnitude[: spec.L][~ill[: spec.L]], magnitude[spec.L :]
+        if np.max(on, initial=0.0) > 1e-9:
+            failures.append(f"seed {seed}: {np.max(on):.3e} on the spectrum of {spec}")
+        if not np.min(off) > 1e-6:
+            failures.append(f"seed {seed}: {np.min(off):.3e} off the spectrum of {spec}")
+    assert not failures, "\n".join(failures)
