@@ -116,8 +116,8 @@ class UnitaryScanResult:
 
     ``g_plus``/``g_minus`` hold the two branches of g/t as functions of
     gamma (NaN where the discriminant is negative or at removable poles);
-    ``broken_g_intervals`` are the g/t ranges attained by neither branch,
-    i.e. where every eigenstate must leave the unit circle.
+    ``broken_g_intervals`` are the runs of the g/t grid where fewer than L
+    real eigenstates are counted, on the circle plus the real-beta axes.
     """
 
     gamma_grid: np.ndarray
@@ -156,8 +156,9 @@ def _root_stack(h: HoppingSet, energies: np.ndarray) -> np.ndarray:
     row as :func:`characteristic_roots` orders it.
 
     One :func:`eigvals` call on the (N, 2M, 2M) stack of companion matrices,
-    three Newton steps against the unreduced polynomial, then the residual
-    check |E(beta) - E| <= 1e-9 (1 + |E|) on every row.
+    three Newton steps against the unreduced polynomial p, each taken only
+    where it does not raise |p|, then the residual check
+    |E(beta) - E| <= 1e-9 (1 + |E|) on every row.
     """
     energies = np.asarray(energies, dtype=np.complex128)
     finite = np.isfinite(energies)
@@ -188,12 +189,23 @@ def _root_stack(h: HoppingSet, energies: np.ndarray) -> np.ndarray:
     polys[0] = coeffs[:, ::-1]
     polys[1, :, 1:] = polys[0, :, :-1] * np.arange(2 * M, 0, -1)
     columns = [polys[..., d, None] for d in range(2 * M + 1)]
-    for _ in range(3):
-        p_dp = columns[0]
+
+    def p_dp(x: np.ndarray) -> np.ndarray:
+        out = columns[0]
         for c in columns[1:]:
-            p_dp = p_dp * roots + c
-        p, dp = p_dp
-        roots = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+            out = out * x + c
+        return out
+
+    at_roots = p_dp(roots)
+    for _ in range(3):
+        p, dp = at_roots
+        step = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        at_step = p_dp(step)
+        # at a double root p' vanishes with p, and a step can throw a root far
+        # off: a step is taken only where it does not raise |p|
+        keep = abs(at_step[0]) <= abs(p)
+        roots = np.where(keep, step, roots)
+        at_roots = np.where(keep, at_step, at_roots)
 
     residual = abs(_dispersion(h, roots) - energies[:, None]).max(axis=1)
     bad = ~(residual <= _RESIDUAL_TOL * (1.0 + abs(energies)))  # NaN fails too
@@ -344,16 +356,19 @@ def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, int]:
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     """Scan the unit-circle ansatz beta = e^(i*gamma) over gamma in [0, 2pi].
 
-    On the circle the boundary determinant reduces to a quadratic in g/t,
+    On the circle the ring equation is a quadratic in r = g/t (the circle
+    curve of :func:`_ring_terms`), whose solution branches G(gamma) are
+    reported on the grid.  r gives a real spectrum only with L real
+    eigenstates: crossings of r = G(gamma), gamma in (0, pi), plus
+    real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
+    the g/t ranges where they are fewer.  ``t`` must be finite and positive,
+    ``g_range`` finite with lo < hi.
 
-        (g/t)^2 sin(gamma (L-1)) - 2 (g/t) cos(phi) sin(gamma L)
-            + 2 (cos(gamma L) - cos(theta L)) sin(gamma) = 0,
-
-    whose solution branches G(gamma) are reported on the grid.  g/t has a
-    real spectrum only with L real eigenstates: crossings of g/t = G(gamma),
-    gamma in (0, pi), plus real-beta bound states on one kappa grid.
-    ``broken_g_intervals`` are the g/t ranges where they are fewer.  ``t``
-    must be finite and positive, ``g_range`` finite with lo < hi.
+    Limitation: two circle roots within one gamma cell cancel.  On Hermitian
+    rings (phi = 0) with theta L within about 1e-3 of 0 or pi, degenerate
+    pairs near the band centre split that little, and spurious intervals
+    appear: 13 at L = 24 (15 at theta L = pi), 18-21 at L = 40 and 34-35 at
+    L = 100; none at theta L = 0.05.
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
@@ -368,21 +383,19 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
         raise ValueError(f"g_range needs two finite ends with lo < hi, got {[g_lo, g_hi]}")
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
-    s_pole = np.sin(gamma * (L - 1))
-    pole = np.abs(s_pole) < _POLE_TOL
-    a = np.cos(phi) * np.sin(gamma * L)
-    disc = a**2 - 2.0 * s_pole * np.sin(gamma) * (
-        np.cos(gamma * L) - math.cos(theta * L)
-    )
+    _, (A, B, C) = _ring_terms(gamma, L, math.cos(theta * L))
+    pole = np.abs(A) < _POLE_TOL
+    a = np.cos(phi) * B
+    disc = a**2 - A * C
     neg = disc < 0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.sqrt(np.where(neg, np.nan, disc))
-        g_plus = np.where(pole, np.nan, (a + sq) / s_pole)
-        g_minus = np.where(pole, np.nan, (a - sq) / s_pole)
+        g_plus = np.where(pole, np.nan, (a + sq) / A)
+        g_minus = np.where(pole, np.nan, (a - sq) / A)
 
     intervals = _broken_intervals(
-        t, theta, phi, L, g_lo / t, g_hi / t, max(gamma_resolution, 50 * L)
+        theta, phi, L, g_lo / t, g_hi / t, max(gamma_resolution, 50 * L)
     )
     return UnitaryScanResult(
         gamma_grid=gamma,
@@ -393,23 +406,43 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     )
 
 
-def _ring_quadratics(t: float, theta: float, L: int, n_gamma: int, g_max: float):
-    """(A, B, C) with D = g^2 A - 2 g t cos(phi) B + C the ring boundary
-    determinant on the curves where it is real: the circle beta = e^(i*gamma),
-    gamma in (0, pi), and the axes beta = +-e^kappa, kappa > 0, times beta^-L:
-        circle: A = sin(gamma (L-1)), B = sin(gamma L),
-                C = 2 t^2 (cos(gamma L) - cos(theta L)) sin(gamma);
-        axes:   A = 1/beta - beta^-2L beta, B = 1 - beta^-2L,
-                C = t^2 (1 + beta^-2L - 2 cos(theta L) beta^-L) (beta - 1/beta).
+def _ring_terms(gamma: np.ndarray, L: int, cos_theta_L: float):
+    """The flux ring's boundary equation in units of t, r = g/t: with
+    K = e^(i gamma L) (r^2 e^(-i gamma) - 2 r cos(phi) + 2i sin(gamma)), it
+    reads at beta = e^(i*gamma + delta/L), to leading order in 1/L,
+
+        sinh(delta) Re K + i (cosh(delta) Im K - 2 cos(theta L) sin(gamma)) = 0.
+
+    Returns the curves Re K and Im K - 2 cos(theta L) sin(gamma) (exact at
+    delta = 0: the circle) over ``gamma``, as (A, B, C) of :func:`_quadratic`.
+    """
+    s_L, c_L, s = np.sin(gamma * L), np.cos(gamma * L), np.sin(gamma)
+    re = (np.cos(gamma * (L - 1)), c_L, -2.0 * s_L * s)
+    im = (np.sin(gamma * (L - 1)), s_L, 2.0 * (c_L - cos_theta_L) * s)
+    return re, im
+
+
+def _quadratic(curve, r: float, cos_phi: float) -> np.ndarray:
+    """r^2 A - 2 r cos(phi) B + C on one (A, B, C) curve."""
+    a, b, c = curve
+    return r**2 * a - 2.0 * r * cos_phi * b + c
+
+
+def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
+    """(A, B, C) curves on which the ring boundary determinant D (see
+    :func:`_quadratic`) is real: the circle beta = e^(i*gamma), gamma in
+    (0, pi) (:func:`_ring_terms`), and the axes beta = +-e^kappa, kappa > 0,
+    times beta^-L:
+        A = 1/beta - beta^-2L beta, B = 1 - beta^-2L,
+        C = (1 + beta^-2L - 2 cos(theta L) beta^-L) (beta - 1/beta).
     Axis roots are real-energy bound states; |E| <= 2|t| + |g| keeps them
-    below kappa = log(3 (1 + g_max)) for |g/t| <= g_max.  The kappa grid
+    below kappa = log(3 (1 + r_max)) for |r| <= r_max.  The kappa grid
     starts at 1e-6, past the root at beta = +-1, with a spacing of at most
     (log 3 - 1e-6) / 1999.
     """
     gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    constant = 2.0 * t**2 * (np.cos(gamma * L) - math.cos(theta * L)) * np.sin(gamma)
-    curves = [(np.sin(gamma * (L - 1)), np.sin(gamma * L), constant)]
-    kappa_max = math.log(3.0 * (1.0 + g_max))
+    curves = [_ring_terms(gamma, L, math.cos(theta * L))[1]]
+    kappa_max = math.log(3.0 * (1.0 + r_max))
     ratio = (kappa_max - 1e-6) / (math.log(3.0) - 1e-6)
     kappa = np.linspace(1e-6, kappa_max, math.ceil(1999 * ratio) + 1)
     for sign in (1.0, -1.0):
@@ -417,7 +450,7 @@ def _ring_quadratics(t: float, theta: float, L: int, n_gamma: int, g_max: float)
         binv = 1.0 / b
         far = binv ** (2 * L)
         bracket = 1.0 + far - 2.0 * math.cos(theta * L) * binv**L
-        curves.append((binv - far * b, 1.0 - far, t**2 * bracket * (b - binv)))
+        curves.append((binv - far * b, 1.0 - far, bracket * (b - binv)))
     return curves
 
 
@@ -430,25 +463,24 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return signs[1:] != signs[:-1]
 
 
-def _crossings(curve, g: float, t: float, phi: float) -> int:
+def _crossings(curve, r: float, phi: float) -> int:
     """Sign changes of D along one of :func:`_ring_quadratics`' curves
     (:func:`_sign_changes`)."""
-    a, b, c = curve
-    return int(np.count_nonzero(_sign_changes(g**2 * a - 2.0 * g * t * math.cos(phi) * b + c)))
+    return int(np.count_nonzero(_sign_changes(_quadratic(curve, r, math.cos(phi)))))
 
 
 def _broken_intervals(
-    t: float, theta: float, phi: float, L: int, lo: float, hi: float, n_gamma: int
+    theta: float, phi: float, L: int, lo: float, hi: float, n_gamma: int
 ) -> tuple[tuple[float, float], ...]:
-    """Runs of the _N_G-point g/t grid on [lo, hi] with fewer than L real
-    eigenstates, counted by :func:`_crossings`."""
-    gs = np.linspace(lo, hi, _N_G)
-    curves = _ring_quadratics(t, theta, L, n_gamma, max(abs(lo), abs(hi)))
-    broken = [sum(_crossings(q, g, t, phi) for q in curves) < L for g in gs * t]
+    """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
+    real eigenstates, counted by :func:`_crossings`."""
+    rs = np.linspace(lo, hi, _N_G)
+    curves = _ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
+    broken = [sum(_crossings(q, r, phi) for q in curves) < L for r in rs]
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
     return tuple(
-        (float(gs[a]), float(gs[b - 1])) for a, b in zip(edges[::2], edges[1::2])
+        (float(rs[a]), float(rs[b - 1])) for a, b in zip(edges[::2], edges[1::2])
     )
 
 
@@ -514,40 +546,28 @@ def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
     boundary equation, to leading order in 1/L.
 
     ``spec`` must be a flux ring as :func:`_ring_parameters` checks it.
-    The real part of the boundary equation factorizes as
-    2 sinh(delta) * B(gamma) with
-
-        B = 2 t^2 sin(gamma L) sin(gamma) - g^2 cos(gamma (L-1))
-            + 2 g t cos(phi) cos(gamma L),
-
-    so off-circle solutions (sinh(delta) != 0) require B(gamma) = 0.  Its
-    roots are the sign changes of B on a 10L-point gamma grid over (0, pi),
-    refined together by bisection to a width of 1e-14 (see
+    Off-circle solutions (sinh(delta) != 0) of the ring equation
+    (:func:`_ring_terms`) need Re K(gamma) = 0.  Its roots are the sign
+    changes of Re K on a 10L-point gamma grid over (0, pi), refined
+    together by bisection to a width of 1e-14 (see
     :func:`_sign_change_roots`); the imaginary part then fixes delta in
-    closed form through cosh(delta) = rhs.  Returns (gamma, delta) pairs by
-    ascending gamma, +delta before -delta.  Empty when the model is
-    PT-unbroken.
+    closed form through cosh(delta) = 2 cos(theta L) sin(gamma) / Im K.
+    Returns (gamma, delta) pairs by ascending gamma, +delta before -delta.
+    Empty when the model is PT-unbroken.
     """
     ring = _ring_parameters(spec)
-    t, g, theta, phi, L = (ring[k] for k in ("t", "g", "theta", "phi", "L"))
-    cos_phi = math.cos(phi)
+    r, cos_phi, L = ring["g"] / ring["t"], math.cos(ring["phi"]), ring["L"]
+    cos_theta_L = math.cos(ring["theta"] * L)
 
-    def bracket(gm: np.ndarray) -> np.ndarray:
-        return (
-            2 * t**2 * np.sin(gm * L) * np.sin(gm)
-            - g**2 * np.cos(gm * (L - 1))
-            + 2 * g * t * cos_phi * np.cos(gm * L)
-        )
+    def re_k(gm: np.ndarray) -> np.ndarray:
+        return _quadratic(_ring_terms(gm, L, cos_theta_L)[0], r, cos_phi)
 
     grid = np.linspace(1e-9, math.pi - 1e-9, 10 * L)
-    gamma = _sign_change_roots(bracket, grid, 1e-14)
-    denom = 2 * (
-        -(g**2) * np.sin(gamma * (L - 1))
-        + 2 * g * t * cos_phi * np.sin(gamma * L)
-        - 2 * t**2 * np.cos(gamma * L) * np.sin(gamma)
-    )
+    gamma = _sign_change_roots(re_k, grid, 1e-14)
+    flux = 2.0 * cos_theta_L * np.sin(gamma)
+    im_k = _quadratic(_ring_terms(gamma, L, cos_theta_L)[1], r, cos_phi) + flux
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = -4 * t**2 * math.cos(theta * L) * np.sin(gamma) / denom
+        rhs = flux / im_k
     keep = np.isfinite(rhs) & (rhs > 1.0 + 1e-12)
     delta = np.arccosh(rhs[keep])
     return [

@@ -350,13 +350,22 @@ def test_unitary_scan_matches_per_g_kappa_grid(L, theta):
         assert list(res.broken_g_intervals) == want, f"phi={phi}"
 
 
+@pytest.mark.parametrize("theta, phi", [(0.3, math.pi / 2), (0.5, math.pi / 2), (0.3, math.pi / 4)])
+def test_unitary_scan_in_units_of_t(theta, phi):
+    def intervals(t):
+        params = {"t": t, "g_range": (0.0, 1.5 * t), "theta": theta, "phi": phi, "L": 40}
+        return unitary_scan(params, 2000).broken_g_intervals
+
+    assert intervals(1.0) and intervals(2.5) == intervals(1.0)
+
+
 def test_crossings_through_sampled_roots():
     from ptlattice.nonbloch import _crossings
 
     def count(d):
         # at g = 0 the determinant is its constant term C
         d = np.array(d)
-        return _crossings((np.ones_like(d), np.ones_like(d), d), 0.0, 1.0, 0.0)
+        return _crossings((np.ones_like(d), np.ones_like(d), d), 0.0, 0.0)
 
     # a crossing through an exact-zero sample counts once, a touch not at all
     assert count([2.0, 1.0, 0.0, -1.0, -2.0]) == 1
@@ -429,6 +438,16 @@ def test_asymptotic_count_matches_dense_n_com(L, theta_L, g):
         + 2 * g * t * math.cos(phi) * np.cos(gamma * L)
     )
     assert np.all(np.abs(B) <= 1e-12 * (t**2 + g**2))
+
+
+@pytest.mark.parametrize("L, theta_L, g", [(50, 0.3, 0.8), (100, 1.0, 1.2), (200, 0.5, 0.8)])
+def test_asymptotic_solver_in_units_of_t(L, theta_L, g):
+    t = 2.5
+    spec = flux_ring(L, theta_L / L, t * g, t=t)
+    sols = asymptotic_broken_solver(spec)
+    assert sols and sols == asymptotic_broken_solver(flux_ring(L, theta_L / L, g))
+    spectrum, scale = solve(spec, vectors=False)
+    assert len(sols) == classify_spectrum(spectrum, scale).n_com
 
 
 def test_asymptotic_solutions_come_in_pairs():
@@ -573,6 +592,18 @@ def test_oracle_reads_an_open_chain_without_flux():
     for E in [*values[:3], 0.3 + 0.2j]:
         rs = characteristic_roots(NN, complex(E))
         assert boundary_determinant(plain, rs) == boundary_determinant(threaded, rs)
+
+
+def test_oracle_at_the_double_roots_of_a_clean_ring():
+    # a clean ring without flux has E = -2t in its spectrum at even L, where
+    # beta = -1 is a double root; a Newton step there, divided by p' ~ 1e-15,
+    # once threw the pair 0.1 away and the root residual check failed
+    ring = replace(flux_ring(24, 0.0, 0.0), perturbations=())
+    values = solve(ring, vectors=False)[0].eigenvalues
+    with pytest.warns(RuntimeWarning, match="coincident beta roots at 2 of 24"):
+        worst, ill = _spectrum_audit(ring, values)
+    assert worst <= 1e-9
+    assert ill == 2
 
 
 def _probe_energies(values: np.ndarray, rng: np.random.Generator, n: int = 10) -> np.ndarray:
