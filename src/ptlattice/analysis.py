@@ -230,15 +230,17 @@ def bound_states_by_scaling(
 
 def _continuum(
     spectrum: Spectrum,
-    cls: SpectrumClassification,
+    candidates: Sequence[int],
     max_range: int,
     scaling_spec: ModelSpec | None = None,
 ) -> list[int]:
-    """The continuum rule: the complex indices of ``cls`` minus the bound
-    states among them.  The |c| cut runs on the complex states only; with
-    ``scaling_spec`` the survivors also take the size-doubling test of
-    :func:`bound_states_by_scaling` on that model."""
-    remaining = [i for i in cls.complex_indices if not _is_bound(spectrum.vector(i), max_range)]
+    """The continuum rule: ``candidates``, complex indices of a
+    classification (all of ``complex_indices`` or a subset of them), minus
+    the bound states among them.  The |c| cut runs on the candidates only;
+    with ``scaling_spec`` the survivors also take the size-doubling test of
+    :func:`bound_states_by_scaling` on that model.  Both tests decide each
+    state on its own, so a subset gives the full result restricted to it."""
+    remaining = [i for i in candidates if not _is_bound(spectrum.vector(i), max_range)]
     if scaling_spec is not None and remaining:
         bound = set(bound_states_by_scaling(scaling_spec, spectrum, remaining))
         remaining = [i for i in remaining if i not in bound]
@@ -257,7 +259,9 @@ def continuous_complex_indices(
     test of :func:`bound_states_by_scaling`.
     """
     cls = classify_spectrum(spectrum, scale)
-    return _continuum(spectrum, cls, spec.max_range, spec if scaling_check else None)
+    return _continuum(
+        spectrum, cls.complex_indices, spec.max_range, spec if scaling_check else None
+    )
 
 
 def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int | None:
@@ -271,7 +275,7 @@ def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int |
     by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
-    allowed = set(_continuum(spectrum, cls, max_range))
+    allowed = set(_continuum(spectrum, cls.complex_indices, max_range))
     if not allowed:
         return None
     values = spectrum.eigenvalues

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import continuous_complex_indices
+from .analysis import _continuum, classify_spectrum
 from .eigen import solve
 from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
 from .nonbloch import characteristic_roots
@@ -135,7 +135,13 @@ def pt_breaking_window(h: HoppingSet) -> PTWindow:
 def criterion_check(spec: ModelSpec) -> CriterionReport:
     """Check that every continuous-spectrum complex eigenvalue of the open
     chain has Re E inside the permitted window (widened by 5*bandwidth/L
-    for finite-size shifts).  Bound states are excluded."""
+    for finite-size shifts).  Bound states are excluded.
+
+    Only the complex states outside the widened window take the continuum
+    rule (the |c| cut, then the size-doubling test on the 2L chain): a state
+    inside it is never a violation, and the rule decides each state on its
+    own, so the report is the one the rule on every complex state gives.
+    """
     if spec.boundary is not Boundary.OPEN:
         raise ValueError("criterion applies to open chains")
     window = pt_breaking_window(spec.hoppings)
@@ -144,18 +150,18 @@ def criterion_check(spec: ModelSpec) -> CriterionReport:
     tol = 5.0 * (critical_vals[-1] - critical_vals[0]) / spec.L
 
     spectrum, scale = solve(spec)
-    continuum = continuous_complex_indices(spec, spectrum, scale, scaling_check=True)
-
-    violations = []
-    for i in continuum:
-        e = spectrum.eigenvalues[i]
-        inside = any(
-            lo - tol <= e.real <= hi + tol for lo, hi in window.intervals
-        )
-        if not inside:
-            violations.append((i, float(e.real), float(e.imag)))
+    values = spectrum.eigenvalues
+    outside = [
+        i
+        for i in classify_spectrum(spectrum, scale).complex_indices
+        if not any(lo - tol <= values[i].real <= hi + tol for lo, hi in window.intervals)
+    ]
+    violations = tuple(
+        (i, float(values[i].real), float(values[i].imag))
+        for i in _continuum(spectrum, outside, spec.max_range, spec)
+    )
     return CriterionReport(
         window=window,
         complex_energies_inside=not violations,
-        violations=tuple(violations),
+        violations=violations,
     )

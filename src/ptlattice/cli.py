@@ -209,7 +209,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
     _write_table(out / "unitary_scan.csv", header, result.csv_rows())
 
     spectrum, _ = solve(spec, vectors=False)
-    worst, ill = _spectrum_audit(spec, spectrum.eigenvalues)
+    worst, worst_ill, ill = _spectrum_audit(spec, spectrum.eigenvalues)
     _sidecar(
         out,
         "nonbloch.json",
@@ -218,6 +218,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
             "g": ring["g"],
             "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
             "max_normalized_boundary_det": worst,
+            "max_normalized_boundary_det_ill_conditioned": worst_ill,
             "ill_conditioned": ill,
         },
         args.override,

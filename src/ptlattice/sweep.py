@@ -204,7 +204,9 @@ def _point_value(
         return float(np.max(np.abs(spectrum.eigenvalues.imag))), 0
     cls = classify_spectrum(spectrum, scale)
     open_chain = spec.boundary is Boundary.OPEN
-    n_com = len(_continuum(spectrum, cls, spec.max_range)) if open_chain else cls.n_com
+    n_com = (
+        len(_continuum(spectrum, cls.complex_indices, spec.max_range)) if open_chain else cls.n_com
+    )
     p_com = n_com / spec.L
     if config.metric is Metric.THRESHOLD_COMPARE:
         return (1.0 if p_com > 0 else 0.0), cls.near_cut

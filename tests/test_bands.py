@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from ptlattice import (
+    Boundary,
     HoppingSet,
+    analysis,
     band_energy,
+    classify_spectrum,
     criterion_check,
     equal_energy_points,
     pt_breaking_window,
+    solve,
 )
-from conftest import nnn_chain
+from ptlattice.analysis import continuous_complex_indices
+from ptlattice.bands import _critical_values
+from conftest import nnn_chain, random_model
 
 
 NN = HoppingSet(terms=((1, 1.0 + 0j),))
@@ -131,3 +137,85 @@ def test_report_json_round_trip():
     report = criterion_check(nnn_chain(60, 1.0, 0.5, 0.8))
     blob = json.loads(report.to_json())
     assert "window" in blob and "violations" in blob
+
+
+def _out_of_window(spec, values, indices):
+    """The indices whose Re E lies outside every window interval widened by
+    5 * bandwidth / L."""
+    intervals = pt_breaking_window(spec.hoppings).intervals
+    critical = _critical_values(spec.hoppings)
+    tol = 5.0 * (critical[-1] - critical[0]) / spec.L
+    return [
+        i for i in indices if not any(lo - tol <= values[i].real <= hi + tol for lo, hi in intervals)
+    ]
+
+
+def _reference_violations(spec):
+    """The continuum rule, size-doubling test included, on every complex
+    state, then the states outside the widened window."""
+    spectrum, scale = solve(spec)
+    values = spectrum.eigenvalues
+    continuum = continuous_complex_indices(spec, spectrum, scale, scaling_check=True)
+    return tuple(
+        (i, float(values[i].real), float(values[i].imag))
+        for i in _out_of_window(spec, values, continuum)
+    )
+
+
+@pytest.mark.parametrize("t2", [0.05, 0.1, 0.2, 0.5])
+def test_criterion_violations_match_the_rule_on_every_complex_state_nnn(t2):
+    # the criterion-5 grid: refining only the out-of-window states must
+    # give the report that refining all of them gives
+    for g in np.linspace(0.0, 2.0, 21):
+        spec = nnn_chain(100, 1.0, t2, float(g))
+        assert criterion_check(spec).violations == _reference_violations(spec), g
+
+
+def test_criterion_violations_match_the_rule_on_every_complex_state_random():
+    specs = [s for s in map(random_model, range(400)) if s.boundary is Boundary.OPEN]
+    assert len(specs) >= 190
+    with_violations = 0
+    for spec in specs:
+        violations = criterion_check(spec).violations
+        assert violations == _reference_violations(spec), spec
+        with_violations += bool(violations)
+    # the comparison is not trivially between empty reports
+    assert with_violations > 50
+
+
+@pytest.fixture
+def scaling_calls(monkeypatch):
+    """The candidates of every size-doubling test run, in call order."""
+    calls = []
+    original = analysis.bound_states_by_scaling
+
+    def record(spec, spectrum, candidates):
+        calls.append(list(candidates))
+        return original(spec, spectrum, candidates)
+
+    monkeypatch.setattr(analysis, "bound_states_by_scaling", record)
+    return calls
+
+
+def test_criterion_skips_the_size_doubling_test_inside_the_window(scaling_calls):
+    # every complex state of this chain lies inside the widened window
+    report = criterion_check(nnn_chain(400, 1.0, 0.5, 0.3))
+    assert report.violations == ()
+    assert scaling_calls == []
+
+
+@pytest.mark.parametrize("t2, g", [(0.05, 1.0), (0.5, 0.9)])
+def test_criterion_refines_only_out_of_window_candidates(scaling_calls, t2, g):
+    # t2 = 0.05 has an empty window; at t2 = 0.5 the window is (-1.5, -1).
+    # Two complex states lie outside it and pass the |c| cut; only the
+    # size-doubling test removes them from the report
+    spec = nnn_chain(100, 1.0, t2, g)
+    spectrum, scale = solve(spec)
+    outside = _out_of_window(
+        spec, spectrum.eigenvalues, classify_spectrum(spectrum, scale).complex_indices
+    )
+    candidates = [i for i in outside if not analysis._is_bound(spectrum.vector(i), spec.max_range)]
+    assert len(candidates) == 2
+    report = criterion_check(spec)
+    assert scaling_calls == [candidates]
+    assert report.violations == ()

@@ -327,6 +327,7 @@ def test_nonbloch_subcommand(tmp_path, capsys):
     assert (out / "unitary_scan.csv").exists()
     sidecar = json.loads((out / "nonbloch.json").read_text())
     assert sidecar["max_normalized_boundary_det"] < 1e-6
+    assert sidecar["max_normalized_boundary_det_ill_conditioned"] == 0.0
     assert sidecar["ill_conditioned"] == 0
 
 
@@ -338,6 +339,21 @@ def test_nonbloch_audits_a_clean_ring(tmp_path):
     out = tmp_path / "o"
     assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "nonbloch.json").read_text())["max_normalized_boundary_det"] < 1e-9
+
+
+def test_nonbloch_audit_reports_ill_conditioned_rows_apart(tmp_path):
+    # without flux the clean ring has E = +-2, where beta = +-1 is a double
+    # root; at L = 100 those two rows read about 7e-8 from roundoff, and the
+    # audit's maximum must come from the well-conditioned rows alone
+    ring = replace(flux_ring(100, 0.0, 0.0), perturbations=())
+    cfg = _write(tmp_path, "n.json", {"model": ring.to_json_dict()})
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="coincident beta roots at 2 of 100"):
+        assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 0
+    sidecar = json.loads((out / "nonbloch.json").read_text())
+    assert sidecar["ill_conditioned"] == 2
+    assert sidecar["max_normalized_boundary_det"] < 1e-9
+    assert sidecar["max_normalized_boundary_det_ill_conditioned"] >= 0.0
 
 
 @pytest.mark.parametrize("g_range", [[1.5, 0.0], [0.0, float("nan")]])

@@ -139,7 +139,7 @@ def test_batched_oracle_matches_single_energy_calls(spec, ep_tol, monkeypatch):
     )
     roots = _root_stack(spec.hoppings, energies)
     value, log_scale, norms, ill = _boundary_stack(spec, roots)
-    worst = 0.0
+    worst = {False: 0.0, True: 0.0}
     for k, E in enumerate(energies):
         rs = characteristic_roots(spec.hoppings, complex(E))
         det = boundary_determinant(spec, rs)
@@ -149,9 +149,10 @@ def test_batched_oracle_matches_single_energy_calls(spec, ep_tol, monkeypatch):
         assert det.column_norms == tuple(norms[k].tolist())
         assert det.ill_conditioned == bool(ill[k])
         if k < spec.L:
-            worst = max(worst, det.normalized_magnitude)
-    got, n_ill = _spectrum_audit(spec, energies[: spec.L])
-    assert got == pytest.approx(worst, rel=1e-12)
+            worst[det.ill_conditioned] = max(worst[det.ill_conditioned], det.normalized_magnitude)
+    got, got_ill, n_ill = _spectrum_audit(spec, energies[: spec.L])
+    assert got == pytest.approx(worst[False], rel=1e-12)
+    assert got_ill == pytest.approx(worst[True], rel=1e-12)
     assert n_ill == int(ill[: spec.L].sum())
     if ep_tol == 0.3:
         assert 0 < n_ill < spec.L
@@ -601,9 +602,27 @@ def test_oracle_at_the_double_roots_of_a_clean_ring():
     ring = replace(flux_ring(24, 0.0, 0.0), perturbations=())
     values = solve(ring, vectors=False)[0].eigenvalues
     with pytest.warns(RuntimeWarning, match="coincident beta roots at 2 of 24"):
-        worst, ill = _spectrum_audit(ring, values)
+        worst, worst_ill, ill = _spectrum_audit(ring, values)
     assert worst <= 1e-9
+    assert worst_ill <= 1e-9
     assert ill == 2
+
+
+@pytest.mark.parametrize("L", [100, 200])
+def test_audit_maximum_skips_the_ill_conditioned_rows(L):
+    # on a clean ring without flux only the rows at E = +-2 (double roots
+    # beta = +-1) carry a roundoff determinant, about 7e-8 at L = 100; every
+    # well-conditioned row reads 0, and that is the audit's maximum
+    ring = replace(flux_ring(L, 0.0, 0.0), perturbations=())
+    values = solve(ring, vectors=False)[0].eigenvalues
+    with pytest.warns(RuntimeWarning, match=f"coincident beta roots at 2 of {L}"):
+        worst, worst_ill, ill = _spectrum_audit(ring, values)
+        value, _, norms, rows_ill = _boundary_stack(ring, _root_stack(ring.hoppings, values))
+    magnitude = _normalized_magnitude(value, norms)
+    assert ill == 2
+    assert worst == 0.0
+    assert worst_ill == np.max(magnitude[rows_ill])
+    assert np.all(magnitude[~rows_ill] == 0.0)
 
 
 def _probe_energies(values: np.ndarray, rng: np.random.Generator, n: int = 10) -> np.ndarray:
