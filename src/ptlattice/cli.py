@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every capability is a subcommand taking a JSON config and writing CSV/JSON
-outputs into a directory.  Exit codes: 0 success, 1 config error, 2
-numerical failure.
+outputs into a directory; each ``_cmd_*`` returns its sidecar's name and
+fields, and ``main`` writes it with the shared config, overrides and version.
+Exit codes: 0 success, 1 config error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     SweepConfig,
     _first_onset,
+    _grid_fields,
     _write_json,
     _write_table,
     apply_parameter,
@@ -35,7 +37,6 @@ from .sweep import (
     threshold_extract,
     uncertain_onsets,
     write_grid_csv,
-    write_grid_sidecar,
 )
 from .effective import threshold_pbc, threshold_pbc_printed
 
@@ -110,32 +111,31 @@ def _model_from(doc: dict, path: str = "") -> ModelSpec:
         raise ConfigError(f"config path {where}: {exc}") from exc
 
 
-def _sidecar(out: Path, name: str, doc: dict, overrides: list[str]) -> None:
-    _write_json(out / name, {**doc, "overrides": overrides, "version": __version__})
+def _model_config(doc: dict, command: str, *keys: str) -> ModelSpec:
+    """The model under doc['model'], once doc has 'model' and every one of keys."""
+    keys = ("model", *keys)
+    if any(key not in doc for key in keys):
+        noun = "key" if len(keys) == 1 else "keys"
+        raise ConfigError(f"{command} config needs {noun} {' and '.join(map(repr, keys))}")
+    return _model_from(doc["model"], "model")
 
 
-def _cmd_spectrum(doc: dict, out: Path, args) -> None:
+def _cmd_spectrum(doc: dict, out: Path, args) -> tuple[str, dict]:
     spec = _model_from(doc)
     spectrum, scale = solve(spec)
     cls = classify_spectrum(spectrum, scale, args.tol_imag)
     _write_table(out / "spectrum.csv", STATE_METRICS_COLUMNS, state_metrics_rows(spec, spectrum))
-    _sidecar(
-        out,
-        "spectrum.json",
-        {
-            "config": doc,
-            "p_com": cls.p_com,
-            "n_com": cls.n_com,
-            "tol_imag": cls.tol_imag,
-            "real_pt_basis": spectrum.real_basis,
-            "near_cut": cls.near_cut,
-        },
-        args.override,
-    )
     print(f"p_com = {cls.p_com:.6g} ({cls.n_com} complex eigenvalues)")
+    return "spectrum.json", {
+        "p_com": cls.p_com,
+        "n_com": cls.n_com,
+        "tol_imag": cls.tol_imag,
+        "real_pt_basis": spectrum.real_basis,
+        "near_cut": cls.near_cut,
+    }
 
 
-def _cmd_scan(doc: dict, out: Path, args) -> None:
+def _cmd_scan(doc: dict, out: Path, args) -> tuple[str, dict]:
     try:
         config = SweepConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -146,61 +146,47 @@ def _cmd_scan(doc: dict, out: Path, args) -> None:
     if grid.metric.value != "MaxImE":
         onsets, uncertain = threshold_extract(grid), uncertain_onsets(grid)
     write_grid_csv(grid, out / f"grid_{key}.csv")
-    write_grid_sidecar(
-        grid,
-        out / f"grid_{key}.json",
-        {"config": doc, "overrides": args.override, "onset_uncertain": uncertain},
-    )
     header = (config.axis1.parameter, f"onset_{config.axis2.parameter}")
     rows = ((v1, _or_no_onset(onset)) for v1, onset in onsets)
     _write_table(out / f"onset_{key}.csv", header, rows)
     print(f"grid written: grid_{key}.csv ({grid.values.shape[0]}x{grid.values.shape[1]})")
+    return f"grid_{key}.json", {**_grid_fields(grid), "onset_uncertain": uncertain}
 
 
-def _cmd_scaling(doc: dict, out: Path, args) -> None:
-    if "model" not in doc or "sizes" not in doc:
-        raise ConfigError("scaling config needs keys 'model' and 'sizes'")
-    base = _model_from(doc["model"], "model")
+def _cmd_scaling(doc: dict, out: Path, args) -> tuple[str, dict]:
+    base = _model_config(doc, "scaling", "sizes")
     sizes = _numbers(doc, "sizes", _integer)
 
     fit = fit_scale_free(base.resized, sizes)
     _write_table(out / "scaling.csv", ("L", "c"), zip(fit.sizes, fit.c_estimates))
-    _sidecar(
-        out,
-        "scaling.json",
-        {
-            "config": doc,
-            "status": fit.status,
-            "c_mean": fit.c_mean,
-            "c_relative_spread": fit.c_relative_spread,
-            "im_scaling_exponent": fit.im_scaling_exponent,
-        },
-        args.override,
-    )
     print(
         f"status={fit.status} c_mean={fit.c_mean:.6g} "
         f"spread={fit.c_relative_spread:.3g} "
         f"im_exponent={fit.im_scaling_exponent:.4g}"
     )
+    return "scaling.json", {
+        "status": fit.status,
+        "c_mean": fit.c_mean,
+        "c_relative_spread": fit.c_relative_spread,
+        "im_scaling_exponent": fit.im_scaling_exponent,
+    }
 
 
-def _cmd_criterion(doc: dict, out: Path, args) -> None:
+def _cmd_criterion(doc: dict, out: Path, args) -> tuple[str, dict]:
     spec = _model_from(doc)
     report = criterion_check(spec)
     (out / "criterion.json").write_text(report.to_json() + "\n")
-    _sidecar(out, "criterion_config.json", {"config": doc}, args.override)
     window = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in report.window.intervals)
     print(f"PT-breaking window: {window or 'empty'}")
     print(
         "all continuous-spectrum complex energies inside window: "
         f"{report.complex_energies_inside} ({len(report.violations)} violations)"
     )
+    return "criterion_config.json", {}
 
 
-def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
-    if "model" not in doc:
-        raise ConfigError("nonbloch config needs key 'model'")
-    spec = _model_from(doc["model"], "model")
+def _cmd_nonbloch(doc: dict, out: Path, args) -> tuple[str, dict]:
+    spec = _model_config(doc, "nonbloch")
     resolution = _read(doc, "gamma_resolution", _integer, 2000, "an integer")
     g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
     ring = _ring_parameters(spec)
@@ -210,32 +196,24 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> None:
 
     spectrum, _ = solve(spec, vectors=False)
     worst, worst_ill, ill = _spectrum_audit(spec, spectrum.eigenvalues)
-    _sidecar(
-        out,
-        "nonbloch.json",
-        {
-            "config": doc,
-            "g": ring["g"],
-            "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
-            "max_normalized_boundary_det": worst,
-            "max_normalized_boundary_det_ill_conditioned": worst_ill,
-            "ill_conditioned": ill,
-        },
-        args.override,
-    )
     print(f"broken g/t intervals: {list(result.broken_g_intervals)}")
     print(f"max normalized boundary determinant over spectrum: {worst:.3e}")
+    return "nonbloch.json", {
+        "g": ring["g"],
+        "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
+        "max_normalized_boundary_det": worst,
+        "max_normalized_boundary_det_ill_conditioned": worst_ill,
+        "ill_conditioned": ill,
+    }
 
 
-def _cmd_effective(doc: dict, out: Path, args) -> None:
-    if "model" not in doc or "thetas" not in doc:
-        raise ConfigError("effective config needs keys 'model' and 'thetas'")
+def _cmd_effective(doc: dict, out: Path, args) -> tuple[str, dict]:
+    base = _model_config(doc, "effective", "thetas")
     for key in ("t", "phi"):
         if key in doc:
             raise ConfigError(
                 f"effective config key {key!r} is not accepted: t and phi come from the model"
             )
-    base = _model_from(doc["model"], "model")
     thetas = _numbers(doc, "thetas", float)
     ring = _ring_parameters(base)
     t, phi = ring["t"], ring["phi"]
@@ -252,12 +230,12 @@ def _cmd_effective(doc: dict, out: Path, args) -> None:
         rows.append((theta, phi, g_pred, g_printed, _or_no_onset(g_obs), rel))
     header = ("theta", "phi", "g_c_predicted", "g_c_printed_form", "g_c_observed", "relative_error")
     _write_table(out / "thresholds.csv", header, rows)
-    _sidecar(out, "thresholds.json", {"config": doc}, args.override)
     for theta, _, g_pred, g_printed, g_obs, _ in rows:
         print(
             f"theta={theta:.6g} g_c={g_pred:.8g} (printed form {g_printed:.8g}) "
             f"observed={g_obs}"
         )
+    return "thresholds.json", {}
 
 
 _COMMANDS = {
@@ -268,6 +246,9 @@ _COMMANDS = {
     "nonbloch": _cmd_nonbloch,
     "effective": _cmd_effective,
 }
+
+# flags that one subcommand alone reads (argparse dest -> subcommand)
+_FLAG_READERS = {"tol_imag": "spectrum", "threads": "scan"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -294,13 +275,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         args = parser.parse_args(argv)
+        for flag, reader in _FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.subcommand != reader:
+                option = "--" + flag.replace("_", "-")
+                raise ConfigError(f"{option} is read only by {reader}, not by {args.subcommand}")
         doc = _load_config(args.config, args.override)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {out}: cannot create it ({exc})") from exc
-        _COMMANDS[args.subcommand](doc, out, args)
+        name, fields = _COMMANDS[args.subcommand](doc, out, args)
+        envelope = {"config": doc, "overrides": args.override, "version": __version__}
+        _write_json(out / name, {**fields, **envelope})
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -431,12 +431,16 @@ def write_grid_csv(grid: PhaseGrid, path: str | Path) -> None:
     _write_table(path, (grid.axis1.parameter, grid.axis2.parameter, "value"), rows)
 
 
-def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = None) -> None:
-    doc = {
+def _grid_fields(grid: PhaseGrid) -> dict:
+    """The grid's axes, metric, provenance and diagnostics, as a sidecar writes them."""
+    return {
         "axis1": grid.axis1.to_json_dict(),
         "axis2": grid.axis2.to_json_dict(),
         "metric": grid.metric.value,
         "provenance": grid.provenance,
         "diagnostics": list(grid.diagnostics),
     }
-    _write_json(path, {**doc, **(extra or {})})
+
+
+def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = None) -> None:
+    _write_json(path, {**_grid_fields(grid), **(extra or {})})

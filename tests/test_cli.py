@@ -145,13 +145,46 @@ def _not_json(tmp_path) -> str:
     return str(p)
 
 
+def _config(doc):
+    return lambda tmp_path: _write(tmp_path, "c.json", doc)
+
+
 @pytest.mark.parametrize(
     "subcommand, make_config, match",
     [
         ("spectrum", _not_json, "invalid JSON"),
         ("scan", _bad_axis_scan, "unknown parameter path 'bogus'"),
+        ("spectrum", _config([gain_chain(50).to_json_dict()]), ": top level must be an object\n"),
+        (
+            "scaling",
+            _config({"model": gain_chain(50).to_json_dict()}),
+            "config error: scaling config needs keys 'model' and 'sizes'\n",
+        ),
+        (
+            "nonbloch",
+            _config({"g_range": [0.0, 1.5]}),
+            "config error: nonbloch config needs key 'model'\n",
+        ),
+        (
+            "effective",
+            _config({"model": flux_ring(24, 0.4, 0.8).to_json_dict()}),
+            "config error: effective config needs keys 'model' and 'thetas'\n",
+        ),
+        (
+            "nonbloch",
+            _config({"model": flux_ring(24, 0.4, 0.8).to_json_dict(), "gamma_resolution": 999}),
+            "config error: gamma_resolution must be at least 1000\n",
+        ),
     ],
-    ids=["not_json", "unknown_parameter_path"],
+    ids=[
+        "not_json",
+        "unknown_parameter_path",
+        "not_an_object",
+        "scaling_without_sizes",
+        "nonbloch_without_model",
+        "effective_without_thetas",
+        "gamma_resolution_999",
+    ],
 )
 def test_malformed_config_exits_1(tmp_path, capsys, subcommand, make_config, match):
     out = tmp_path / "o"
@@ -405,7 +438,8 @@ _OUTPUTS = {
 @pytest.mark.parametrize("subcommand", sorted(_OUTPUTS))
 def test_output_file_formats(tmp_path, subcommand):
     # CSV header lines are part of the CLI contract; every sidecar (all JSON
-    # but criterion.json) is sorted, indented by two and ends in a newline
+    # but criterion.json) is sorted, indented by two, ends in a newline and
+    # carries the run's config, overrides and version
     doc, headers = _OUTPUTS[subcommand]
     cfg = _write(tmp_path, "c.json", doc)
     out = tmp_path / "o"
@@ -417,6 +451,10 @@ def test_output_file_formats(tmp_path, subcommand):
     assert len(sidecars) == 1
     text = sidecars[0].read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    sidecar = json.loads(text)
+    assert sidecar["config"] == doc
+    assert sidecar["overrides"] == []
+    assert sidecar["version"] == ptlattice.__version__
 
 
 _RING_CONFIGS = {"nonbloch": {"g_range": [0.0, 1.5]}, "effective": {"thetas": [0.005]}}
@@ -516,3 +554,36 @@ def test_integral_float_size_runs(tmp_path):
     out = tmp_path / "o"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     assert len((out / "spectrum.csv").read_text().splitlines()) == 61
+
+
+@pytest.mark.parametrize(
+    "flag, value, reader, other",
+    [("--tol-imag", "1e-3", "spectrum", "criterion"), ("--threads", "2", "scan", "spectrum")],
+)
+def test_flag_is_read_by_one_subcommand(tmp_path, capsys, model_config, flag, value, reader, other):
+    # a flag the subcommand would ignore is an error, not a silent no-op
+    out = tmp_path / "o"
+    assert main([other, "--config", model_config, "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"config error: {flag} is read only by {reader}, not by {other}\n"
+    assert not out.exists()
+    config = _write(tmp_path, "scan.json", _scan_doc()) if reader == "scan" else model_config
+    assert main([reader, "--config", config, "--out", str(out), flag, value]) == 0
+
+
+def test_residual_contract_failure_exits_2(tmp_path, capsys, model_config, monkeypatch):
+    # with no tolerance every roundoff residual breaks the contract
+    monkeypatch.setattr("ptlattice.eigen.RESIDUAL_FACTOR", 0.0)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", model_config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: residual contract violated")
+    assert list(out.iterdir()) == []
+
+
+def test_spectrum_writes_nan_c_fit_on_a_short_chain(tmp_path):
+    # at L = 12 the fit window keeps 2 sites, fewer than the 10 a fit needs
+    cfg = _write(tmp_path, "m.json", gain_chain(12).to_json_dict())
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    assert all(row[5] == "nan" for row in rows)

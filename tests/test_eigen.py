@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptlattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian, eig, frobenius_norm
+from ptlattice import Boundary, HoppingSet, ModelSpec, build_hamiltonian, eig, eigen, frobenius_norm
 from ptlattice.eigen import (
     RESIDUAL_FACTOR,
     EigensolverError,
@@ -289,3 +289,20 @@ def test_solve_real_path_on_criterion_models():
     chain = nnn_chain(L, 1.0, 0.5, 0.3)  # the benchmark's open-chain criterion model
     assert solve(chain)[0].real_basis
     assert solve(chain.resized(2 * L), vectors=False)[0].real_basis
+
+
+@pytest.mark.parametrize(
+    "spec", [gain_chain(40, g=1.5), nnn_chain(60, 1.0, 0.5, 0.5)], ids=["complex", "real_pt"]
+)
+def test_solve_names_a_vector_that_breaks_the_residual_contract(spec, monkeypatch):
+    sorted_eig = eigen._sorted_eig
+
+    def one_wrong_vector(H):
+        values, vectors = sorted_eig(H)
+        vectors = vectors.copy()
+        vectors[:, 7] = 1.0 / math.sqrt(len(values))
+        return values, vectors
+
+    monkeypatch.setattr(eigen, "_sorted_eig", one_wrong_vector)
+    with pytest.raises(EigensolverError, match=r"residual contract violated: .* at eigenvalue index 7$"):
+        solve(spec)

@@ -232,6 +232,15 @@ def test_boundary_determinant_unperturbed_ring_zeros():
     assert abs(boundary_determinant(spec, rs).value) > 1e-3
 
 
+def test_boundary_determinant_rejects_an_interior_perturbation():
+    # an open NN chain has boundary rows at sites 1 and L only
+    doc = {**gain_chain(20).to_json_dict(), "perturbations": [{"i": 5, "j": 5, "re": 0.0, "im": 0.5}]}
+    spec = ModelSpec.from_json_dict(doc)
+    roots = characteristic_roots(spec.hoppings, 0.3 + 0.1j)
+    with pytest.raises(ValueError, match=r"^perturbation row 5 lies outside the boundary sites 1\.\.1 and 20\.\.20$"):
+        boundary_determinant(spec, roots)
+
+
 def test_boundary_determinant_detects_bound_root():
     # open chain with single gain ig: above onset the root pair {g/t, t/g}
     # solves the boundary problem at E = i(g - t^2/g)
