@@ -39,6 +39,7 @@ __all__ = [
 
 IMAG_CUT_FACTOR = 1e-8
 C_BOUND_CUT = 10.0
+_MIN_FIT_SITES = 10  # fewest sites in a fit_decay_constant window
 _SCALING_FACTOR = 2  # see bound_states_by_scaling
 _IM_RATIO = 2.0 ** -0.5
 
@@ -143,8 +144,8 @@ def fit_decay_constant(
     lo, hi = window
     if not (1 <= lo < hi <= L):
         raise ValueError(f"window {window} not within [1, {L}]")
-    if hi - lo + 1 < 10:
-        raise ValueError("window must contain at least 10 sites")
+    if hi - lo + 1 < _MIN_FIT_SITES:
+        raise ValueError(f"window must contain at least {_MIN_FIT_SITES} sites")
     if lo <= edge_margin or hi > L - edge_margin:
         raise ValueError(
             f"window {window} touches the outermost {edge_margin} sites"
@@ -305,13 +306,22 @@ def fit_scale_free(
     At the onset itself (gain g = t at the end of an open chain) the
     band-centre mode has the largest Im E and a c that grows like ln L.
     Below the onset every |c| stays under ln((t + g)/(t - g))/2.)
+    A size whose default window holds fewer than 10 sites (L < 20 when
+    M <= 5) raises ValueError naming it, before any size is solved.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("need at least 3 strictly increasing sizes")
+    specs = [model_family(L) for L in sizes]
+    windows = [default_fit_window(spec.L, spec.max_range) for spec in specs]
+    for spec, (lo, hi) in zip(specs, windows):
+        if hi - lo + 1 < _MIN_FIT_SITES:
+            raise ValueError(
+                f"size L = {spec.L} is too short for the scale-free fit: its window "
+                f"({lo}, {hi}) holds {max(hi - lo + 1, 0)} sites, fewer than {_MIN_FIT_SITES}"
+            )
     cs, max_ims = [], []
-    for L in sizes:
-        spec = model_family(L)
+    for spec, window in zip(specs, windows):
         spectrum, scale = solve(spec)
         pick = _select_fit_state(spectrum, scale, spec.max_range)
         if pick is None:
@@ -323,7 +333,6 @@ def fit_scale_free(
                 im_scaling_exponent=0.0,
                 status="no complex states",
             )
-        window = default_fit_window(L, spec.max_range)
         cs.append(fit_decay_constant(spectrum.vector(pick), window, spec.max_range))
         max_ims.append(abs(float(spectrum.eigenvalues[pick].imag)))
     cs_arr = np.array(cs)

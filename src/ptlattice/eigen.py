@@ -17,13 +17,13 @@ complex ones in exact conjugate pairs, at a third to a quarter of
 zgeev's work (Bender & Boettcher, PRL 80, 5243 (1998); Mostafazadeh,
 arXiv:math-ph/0107001).  Other models take the complex path.
 
-:func:`eigvals` also takes a stack of matrices, shape (n, L, L), in one
-LAPACK call.  numpy's generalized ufuncs hold the GIL unless the call's
-loop is longer than 500 (here n * L), so a single small eigvals call runs
-serially even on a thread pool; :func:`solve_values` solves same-size
-models in one such stack, and ``solve(spec, vectors=False)`` is a stack
-of one.  Each member keeps its own checks and gives the bits a call of
-its own would give.
+:func:`solve_stack` solves same-size models in one LAPACK call per
+path, on the stack of their real forms R and on the stack of the other H,
+with or without eigenvectors; :func:`solve` is a stack of one.  numpy's
+generalized ufuncs hold the GIL unless the call's loop is longer than
+500 (here n * L), so a single small call runs serially even on a thread
+pool.  Each member keeps its own sort, normalization and checks and gives
+the bits a call of its own would give.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
     "eig",
     "eigvals",
     "solve",
-    "solve_values",
+    "solve_stack",
     "frobenius_norm",
     "RESIDUAL_FACTOR",
     "TRACE_FACTOR",
@@ -121,22 +121,26 @@ def eig(H: np.ndarray) -> Spectrum:
     imaginary part.  Repeated calls on identical input are bit-identical.
     """
     H = _checked_matrix(H)
-    values, vectors = _sorted_eig(H)
+    values, vectors = _sorted_pairs(*_converged(np.linalg.eig, H))
     residuals = _checked_residuals(H, values, vectors, frobenius_norm(H))
     return Spectrum(eigenvalues=values, eigenvectors=vectors, residuals=residuals)
 
 
-def _sorted_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eig`'s sorted values and unit-norm vectors, without its checks."""
+def _converged(routine, H: np.ndarray):
+    """routine(H) for a LAPACK-backed numpy routine, a QR failure raised as
+    EigensolverError."""
     try:
-        values, vectors = np.linalg.eig(H)
+        return routine(H)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration did not converge: {exc}") from exc
+
+
+def _sorted_pairs(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One matrix's eigenpairs in (Re E, Im E) order, vectors unit-norm."""
     values = values.astype(np.complex128, copy=False)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
     vectors = vectors[:, order].astype(np.complex128, copy=False)
-    return values, vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    return values[order], vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
 
 
 def _checked_residuals(
@@ -170,11 +174,7 @@ def eigvals(H: np.ndarray) -> np.ndarray:
     convergence, a failed trace check) fails the whole call.
     """
     H = _checked_matrix(H, stack=True)
-    try:
-        values = np.linalg.eigvals(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration did not converge: {exc}") from exc
-    values = values.astype(np.complex128, copy=False)
+    values = _converged(np.linalg.eigvals, H).astype(np.complex128, copy=False)
     values = np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), -1)
     miss = abs(values.sum(axis=-1) - H.trace(axis1=-2, axis2=-1))
     norms = np.linalg.norm(H, axis=(-2, -1))
@@ -234,42 +234,23 @@ def _site_basis(W: np.ndarray) -> np.ndarray:
 def solve(spec: ModelSpec, vectors: bool = True) -> tuple[Spectrum, float]:
     """Build the model's H and diagonalize it; returns the spectrum and
     ||H||_F of the site-basis H, the scale of every classification cut.
-
-    A PT-symmetric H is diagonalized on its real form R as :func:`eig`
-    does, minus R's residual check: the vectors are mapped back to the
-    sites, normalized again and checked against H itself, once.  Any other
-    H goes through :func:`eig` unchanged.  ``vectors=False`` returns no
-    eigenvectors: it is :func:`solve_values` on a stack of one.
-    """
-    if not vectors:
-        return solve_values([spec])[0]
-    H = build_hamiltonian(spec)
-    scale = frobenius_norm(H)
-    if not _matrix_is_pt_symmetric(H, 0.0):
-        return eig(H), scale
-    values, W = _sorted_eig(_checked_matrix(_real_pt_form(H)))
-    V = _site_basis(W)
-    del W  # only H and the mapped vectors are needed from here on
-    V /= np.linalg.norm(V, axis=0, keepdims=True)
-    residuals = _checked_residuals(H, values, V, scale)
-    return Spectrum(values, V, residuals, real_basis=True), scale
+    It is :func:`solve_stack` on a stack of one."""
+    return solve_stack([spec], vectors)[0]
 
 
-def solve_values(specs: list[ModelSpec]) -> list[tuple[Spectrum, float]]:
-    """Eigenvalue-only :func:`solve` of same-size models, in at most two
-    :func:`eigvals` calls: one on the stack of the real forms R of the
-    PT-symmetric H, one on the stack of the other H.
-
-    Returns ``(Spectrum, ||H||_F)`` per spec, without eigenvectors, each
-    equal bit for bit to a solve of that spec alone.  Only R (or the
-    non-PT H) is kept per spec; one failing member fails the whole call.
+def solve_stack(specs: list[ModelSpec], vectors: bool = True) -> list[tuple[Spectrum, float]]:
+    """:func:`solve` of same-size models, one LAPACK call per stack: the
+    real forms R of the PT-symmetric H, and the other H.  Each ``(Spectrum,
+    ||H||_F)`` equals bit for bit a solve of its spec alone; one failing
+    member fails the whole call.  A PT member's vectors are mapped back to
+    the sites, normalized again and checked against H itself, once.
     """
     L = specs[0].L
     if any(spec.L != L for spec in specs):
-        raise ValueError("solve_values needs models of one size")
+        raise ValueError("solve_stack needs models of one size")
     stacks: dict[bool, np.ndarray] = {}
     members: dict[bool, list[int]] = {True: [], False: []}
-    scales = []
+    scales, hamiltonians = [], []
     for k, spec in enumerate(specs):
         H = build_hamiltonian(spec)
         scales.append(frobenius_norm(H))
@@ -282,12 +263,27 @@ def solve_values(specs: list[ModelSpec]) -> list[tuple[Spectrum, float]]:
         else:
             slot[...] = H
         members[pt].append(k)
-        del H  # keep only R: a size-doubled chain's H is the largest array here
+        if vectors:
+            hamiltonians.append(H if pt else slot)  # a PT member's slot holds R
+        del H, slot  # a size-doubled chain's H is the largest array here
     out: list[tuple[Spectrum, float] | None] = [None] * len(specs)
-    for pt, stack in stacks.items():
-        values = eigvals(stack[: len(members[pt])])
-        for k, row in zip(members[pt], values):
-            out[k] = (Spectrum(row, None, None, real_basis=pt), scales[k])
+    for pt in list(stacks):
+        stack = stacks.pop(pt)[: len(members[pt])]
+        if not vectors:
+            for k, row in zip(members[pt], eigvals(stack)):
+                out[k] = (Spectrum(row, None, None, real_basis=pt), scales[k])
+            continue
+        raw = _converged(np.linalg.eig, _checked_matrix(stack, stack=True))
+        del stack  # R is not read again; the non-PT H stay referenced
+        pairs = [_sorted_pairs(*member) for member in zip(*raw)]
+        del raw
+        for k in members[pt]:
+            values, V = pairs.pop(0)  # each W is released once mapped
+            if pt:
+                V = _site_basis(V)
+                V /= np.linalg.norm(V, axis=0, keepdims=True)
+            residuals = _checked_residuals(hamiltonians[k], values, V, scales[k])
+            out[k] = (Spectrum(values, V, residuals, real_basis=pt), scales[k])
     return out
 
 

@@ -8,12 +8,11 @@ sweeps resume; grids are deterministic regardless of worker count.  BLAS
 runs on one thread for the length of a sweep, so the worker pool is the
 only parallelism.
 
-Metrics that need only eigenvalues (MaxImE, and PCom/ThresholdCompare on
-periodic chains) are solved in stacks of ceil(501/L) consecutive points,
-one LAPACK call each and no eigenvectors: numpy releases the GIL for
-such a call only when stack size * L exceeds 500, and without that the
-pool threads would take turns.  Open-chain PCom/ThresholdCompare needs
-eigenvectors to find bound states and solves one point at a time.
+Points are solved in stacks of ceil(501/L) consecutive points, one
+LAPACK call each: numpy releases the GIL for such a call only when stack
+size * L exceeds 500, and without that the pool threads would take turns.
+Eigenvectors are computed only where the metric reads them: open-chain
+PCom/ThresholdCompare, whose bound-state test needs them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _continuum, classify_spectrum
-from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_values
+from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_stack
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _integer
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "threshold_extract",
     "uncertain_onsets",
     "write_grid_csv",
-    "write_grid_sidecar",
     "PARAMETER_PATHS",
 ]
 
@@ -188,11 +186,11 @@ def _values_only(config: SweepConfig) -> bool:
 
 
 def _stack_size(config: SweepConfig) -> int:
-    """Points per LAPACK call: the smallest k with k * L > 500 on the
-    values-only path (numpy's linalg releases the GIL only for a loop
-    longer than 500, so a smaller stack would hold it and serialize the
-    pool; larger stacks only cost memory), 1 on the vector path."""
-    return 500 // config.base_model.L + 1 if _values_only(config) else 1
+    """Points per LAPACK call: the smallest k with k * L > 500 (numpy's
+    linalg releases the GIL only for a loop longer than 500, so a smaller
+    stack would hold it and serialize the pool; larger stacks only cost
+    memory)."""
+    return 500 // config.base_model.L + 1
 
 
 def _point_value(
@@ -217,12 +215,12 @@ def _chunk_metrics(
     config: SweepConfig, points: list[tuple[float, float]]
 ) -> list[tuple[float, int]]:
     """(metric, near_cut) of each (v1, v2) point of one chunk, solved in
-    one stack on the values-only path and one by one otherwise."""
+    one stack."""
     specs = []
     for v1, v2 in points:
         spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
         specs.append(apply_parameter(spec, config.axis2.parameter, v2))
-    solved = solve_values(specs) if _values_only(config) else [solve(spec) for spec in specs]
+    solved = solve_stack(specs, vectors=not _values_only(config))
     return [_point_value(config, spec, *result) for spec, result in zip(specs, solved)]
 
 
@@ -440,7 +438,3 @@ def _grid_fields(grid: PhaseGrid) -> dict:
         "provenance": grid.provenance,
         "diagnostics": list(grid.diagnostics),
     }
-
-
-def write_grid_sidecar(grid: PhaseGrid, path: str | Path, extra: dict | None = None) -> None:
-    _write_json(path, {**_grid_fields(grid), **(extra or {})})

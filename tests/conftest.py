@@ -83,6 +83,18 @@ def random_model(seed: int) -> ModelSpec:
     )
 
 
+def pt_variant(spec: ModelSpec) -> ModelSpec:
+    """spec with each perturbation's conjugate added at the mirrored sites
+    (L+1-i, L+1-j): PT-symmetric under site inversion up to the rounding
+    of entries that several terms add to."""
+    L = spec.L
+    mirrored = tuple(
+        PerturbationTerm(L + 1 - p.site_i, L + 1 - p.site_j, p.amplitude.conjugate())
+        for p in spec.perturbations
+    )
+    return replace(spec, perturbations=spec.perturbations + mirrored)
+
+
 def not_rings() -> dict[str, tuple[ModelSpec, str]]:
     """Models the flux-ring theory rejects, by id, with a pattern of the
     reason it gives."""

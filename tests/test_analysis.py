@@ -13,6 +13,7 @@ from ptlattice import (
     frobenius_norm,
     mean_position,
 )
+from ptlattice import analysis
 from ptlattice.analysis import (
     _select_fit_state,
     bound_states_by_scaling,
@@ -215,6 +216,19 @@ def test_fit_state_independent_of_solve(L):
 def test_fit_scale_free_requires_complex_states():
     fit = fit_scale_free(lambda L: gain_chain(L, g=0.0), [100, 200, 400])
     assert fit.status != "ok"
+
+
+def test_fit_scale_free_names_a_size_too_short(monkeypatch):
+    def no_solve(spec, vectors=True):
+        raise AssertionError("solved before the sizes were checked")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    # the middle-60 % window holds 10 sites from L = 20 on (M <= 5); L = 19 has 9
+    assert default_fit_window(20, 2) == (6, 15)
+    with pytest.raises(ValueError, match=r"^size L = 19 .* window \(6, 14\) holds 9 sites"):
+        fit_scale_free(lambda L: nnn_chain(L, 1.0, 0.5, 0.5), [19, 40, 80])
+    with pytest.raises(ValueError, match=r"^size L = 3 .* window \(6, -2\) holds 0 sites"):
+        fit_scale_free(lambda L: gain_chain(L, g=1.0), [3, 20, 40])
 
 
 def test_fit_scale_free_validates_sizes():

@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import ptlattice
+from ptlattice import Boundary, ModelSpec
+from ptlattice.analysis import default_fit_window
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError
-from conftest import flux_ring, gain_chain, nnn_chain, not_rings
+from ptlattice.sweep import SweepConfig, config_hash
+from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
 
 
 def _write(tmp_path, name, doc):
@@ -287,6 +290,10 @@ def test_scan_writes_grid_and_onsets(tmp_path):
     onsets = list(out.glob("onset_*.csv"))
     assert len(grids) == 1 and len(onsets) == 1
     assert len(grids[0].read_text().splitlines()) == 1 + 2 * 4
+    key = config_hash(SweepConfig.from_json_dict(doc))
+    sidecar = json.loads((out / f"grid_{key}.json").read_text())
+    assert sidecar["metric"] == "PCom"
+    assert sidecar["provenance"]["config_hash"] == key
 
 
 def test_scan_outputs_reproducible(tmp_path):
@@ -587,3 +594,58 @@ def test_spectrum_writes_nan_c_fit_on_a_short_chain(tmp_path):
     rows = [line.split(",") for line in (out / "spectrum.csv").read_text().splitlines()[1:]]
     assert len(rows) == 12
     assert all(row[5] == "nan" for row in rows)
+
+
+def test_scaling_names_the_size_that_is_too_short(tmp_path, capsys):
+    # the middle-60 % window holds 10 sites from L = 20 on; at L = 19 it holds 9
+    doc = {"model": gain_chain(19, g=1.0).to_json_dict(), "sizes": [19, 40, 80]}
+    out = tmp_path / "o"
+    assert main(["scaling", "--config", _write(tmp_path, "s.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: size L = 19 is too short for the scale-free fit: "
+        "its window (6, 14) holds 9 sites, fewer than 10\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def _random_model_doc(command: str, spec: ModelSpec) -> dict:
+    model = spec.to_json_dict()
+    if command == "scan":
+        axis2 = "g" if spec.perturbations else "t2"
+        return {
+            "base_model": model,
+            "axis1": {"parameter": "flux_theta", "min": 0.0, "max": 1.0, "steps": 2},
+            "axis2": {"parameter": axis2, "min": 0.0, "max": 1.0, "steps": 2},
+            "metric": "PCom",
+        }
+    if command == "scaling":
+        return {"model": model, "sizes": [spec.L, spec.L + 1, spec.L + 2]}
+    if command == "effective":
+        return {"model": model, "thetas": [0.1]}
+    return {"model": model} if command == "nonbloch" else model
+
+
+def _expected_exit(command: str, spec: ModelSpec) -> int:
+    if command == "criterion":  # open chains only
+        return int(spec.boundary is Boundary.PERIODIC)
+    if command == "scan":  # a t2 axis needs L > 4
+        return int(not spec.perturbations and spec.L <= 2 * max(spec.max_range, 2))
+    if command == "scaling":  # the smallest size's window needs 10 sites
+        lo, hi = default_fit_window(spec.L, spec.max_range)
+        return int(hi - lo + 1 < 10)
+    return int(command != "spectrum")  # no random model is a flux ring
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "criterion", "scan", "scaling", "nonbloch", "effective"]
+)
+def test_every_subcommand_on_random_models(tmp_path, capsys, command):
+    # each run succeeds or is refused as a config error: no traceback, no exit 2
+    for seed in range(300):
+        spec = random_model(seed)
+        cfg = _write(tmp_path, f"{seed}.json", _random_model_doc(command, spec))
+        threads = ["--threads", "1"] if command == "scan" else []
+        code = main([command, "--config", cfg, "--out", str(tmp_path / str(seed)), *threads])
+        err = capsys.readouterr().err
+        assert code == _expected_exit(command, spec), (seed, err)
+        assert err == "" if code == 0 else err.startswith("config error: "), (seed, err)

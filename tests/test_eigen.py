@@ -11,10 +11,11 @@ from ptlattice.eigen import (
     _real_pt_form,
     eigvals,
     solve,
-    solve_values,
+    solve_stack,
 )
+from ptlattice.lattice import is_pt_symmetric
 from ptlattice.sweep import apply_parameter
-from conftest import flux_ring, gain_chain, nnn_chain
+from conftest import flux_ring, gain_chain, nnn_chain, pt_variant, random_model
 
 
 def _ring(L):
@@ -184,7 +185,7 @@ def test_eigvals_stack_trace_check(monkeypatch):
         eigvals(stack)
 
 
-def test_solve_values_mixes_pt_and_other_models():
+def test_solve_stack_mixes_pt_and_other_models():
     L = 30
     specs = [
         flux_ring(L, 0.5 / L, 0.8),
@@ -192,7 +193,7 @@ def test_solve_values_mixes_pt_and_other_models():
         nnn_chain(L, 1.0, 0.5, 0.4),
         flux_ring(L, 0.2 / L, 0.0),
     ]
-    solved = solve_values(specs)
+    solved = solve_stack(specs, vectors=False)
     assert [s.real_basis for s, _ in solved] == [True, False, True, True]
     for spec, (spectrum, scale) in zip(specs, solved):
         H = build_hamiltonian(spec)
@@ -202,13 +203,40 @@ def test_solve_values_mixes_pt_and_other_models():
         assert np.array_equal(spectrum.eigenvalues, alone)
         single, single_scale = solve(spec, vectors=False)
         assert np.array_equal(single.eigenvalues, alone) and single_scale == scale
+    for spec, result in zip(specs, solve_stack(specs)):
+        _same_solve(result, solve(spec))
     with pytest.raises(ValueError, match="one size"):
-        solve_values([flux_ring(L, 0.1, 0.5), flux_ring(L + 1, 0.1, 0.5)])
+        solve_stack([flux_ring(L, 0.1, 0.5), flux_ring(L + 1, 0.1, 0.5)])
 
 
 def _nearest_distance(a, b):
     dist = np.abs(a[:, None] - b[None, :])
     return max(np.max(dist.min(axis=1)), np.max(dist.min(axis=0)))
+
+
+def _same_solve(a, b):
+    (spectrum, scale), (other, other_scale) = a, b
+    assert scale == other_scale and spectrum.real_basis == other.real_basis
+    assert np.array_equal(spectrum.eigenvalues, other.eigenvalues)
+    for name in ("eigenvectors", "residuals"):
+        mine, theirs = getattr(spectrum, name), getattr(other, name)
+        assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+
+
+def test_random_pt_models_through_both_solve_paths():
+    pt = [m for m in map(pt_variant, map(random_model, range(1000))) if is_pt_symmetric(m, 0.0)]
+    assert len(pt) >= 990  # 995 here; the rest miss exact symmetry by a rounding
+    groups: dict[int, list] = {}
+    for spec in pt:
+        spectrum, scale = solve(spec)
+        assert spectrum.real_basis
+        site = eig(build_hamiltonian(spec)).eigenvalues
+        assert _nearest_distance(spectrum.eigenvalues, site) <= 1e-9 * scale
+        groups.setdefault(spec.L, []).append(spec)
+    for specs in groups.values():
+        for vectors in (True, False):
+            for spec, result in zip(specs, solve_stack(specs, vectors)):
+                _same_solve(result, solve(spec, vectors))
 
 
 def test_eig_real_matrix_stays_real():
@@ -295,14 +323,14 @@ def test_solve_real_path_on_criterion_models():
     "spec", [gain_chain(40, g=1.5), nnn_chain(60, 1.0, 0.5, 0.5)], ids=["complex", "real_pt"]
 )
 def test_solve_names_a_vector_that_breaks_the_residual_contract(spec, monkeypatch):
-    sorted_eig = eigen._sorted_eig
+    sorted_pairs = eigen._sorted_pairs
 
-    def one_wrong_vector(H):
-        values, vectors = sorted_eig(H)
+    def one_wrong_vector(values, vectors):
+        values, vectors = sorted_pairs(values, vectors)
         vectors = vectors.copy()
         vectors[:, 7] = 1.0 / math.sqrt(len(values))
         return values, vectors
 
-    monkeypatch.setattr(eigen, "_sorted_eig", one_wrong_vector)
+    monkeypatch.setattr(eigen, "_sorted_pairs", one_wrong_vector)
     with pytest.raises(EigensolverError, match=r"residual contract violated: .* at eigenvalue index 7$"):
         solve(spec)

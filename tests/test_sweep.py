@@ -28,7 +28,6 @@ from ptlattice.sweep import (
     config_hash,
     uncertain_onsets,
     write_grid_csv,
-    write_grid_sidecar,
 )
 from conftest import flux_ring, nnn_chain
 
@@ -354,6 +353,7 @@ def test_open_chain_sweep_counts_continuum(metric):
         metric=Metric(metric),
     )
     grid = run_sweep(config, threads=2)
+    assert grid.provenance["stack"] == 13  # the 15 vector solves make chunks of 13 and 2
     for i, v1 in enumerate(config.axis1.values):
         for j, v2 in enumerate(config.axis2.values):
             spec = apply_parameter(config.base_model, "t2", v1)
@@ -373,11 +373,9 @@ def test_stack_size():
         return sweep._stack_size(SweepConfig(base, axis, axis, Metric(metric)))
 
     assert [stack(L) for L in (20, 100, 167, 250, 500, 501, 800)] == [26, 6, 3, 3, 2, 1, 1]
-    assert stack(100, "ThresholdCompare") == 6
-    # open chains need eigenvectors for the bound-state test, except MaxImE
-    assert stack(100, chain=True) == 1
-    assert stack(100, "ThresholdCompare", chain=True) == 1
-    assert stack(100, "MaxImE", chain=True) == 6
+    # ceil(501/L) for every metric and boundary, with eigenvectors or without
+    for metric in ("PCom", "ThresholdCompare", "MaxImE"):
+        assert stack(100, metric) == stack(100, metric, chain=True) == 6
 
 
 def test_sweep_near_cut_points(monkeypatch, tmp_path):
@@ -520,16 +518,19 @@ def test_grid_csv_round_trip(tmp_path):
 
 
 def test_grid_sidecar(tmp_path):
-    import json
-
+    # the grid fields of the scan sidecar, merged with the run envelope's
+    # extra keys and written as every sidecar is
     cfg = _small_config()
     grid = run_sweep(cfg, threads=2)
     p = tmp_path / "grid.json"
-    write_grid_sidecar(grid, p, extra={"note": "x"})
+    sweep._write_json(p, {**sweep._grid_fields(grid), "note": "x"})
     doc = json.loads(p.read_text())
     assert doc["metric"] == "PCom"
     assert doc["provenance"]["config_hash"] == config_hash(cfg)
     assert doc["note"] == "x"
+    assert doc["axis1"] == cfg.axis1.to_json_dict()
+    assert doc["diagnostics"] == list(grid.diagnostics)
+    assert p.read_text().endswith("}\n")
 
 
 def test_first_onset_matches_threshold_extract():
@@ -589,10 +590,11 @@ def test_csv_line():
 
 
 def test_sweep_diagnostics_in_grid_order(monkeypatch):
-    # an open chain solves one point per chunk; the chunk of g-index 1 fails
-    # only after the one of g-index 7 has failed and the next chunk has run
+    # L > 500 makes one point per chunk (the stub solves nothing); the chunk
+    # of g-index 1 fails only after the one of g-index 7 has failed and the
+    # next chunk has run
     cfg = SweepConfig(
-        base_model=nnn_chain(12, 1.0, 0.0, 0.5),
+        base_model=nnn_chain(501, 1.0, 0.0, 0.5),
         axis1=AxisSpec("t2", 0.1, 0.2, 2),
         axis2=AxisSpec("g", 0.0, 1.0, 10),
         metric=Metric.PCOM,
