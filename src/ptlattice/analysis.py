@@ -3,6 +3,14 @@
 Covers the complex-eigenvalue fraction P_com, eigenvalue-resolved position
 measures, exponential decay-constant fits for scale-free localization, and
 the separation of isolated bound states from the continuous spectrum.
+
+Every fit is one rule, :func:`_slopes`: the closed-form least-squares
+slopes of the columns of a matrix against one abscissa.  The decay
+constants of all states come from one such call on the eigenvector matrix,
+and the position measures from one pass over its (states x sites)
+weights.  The per-vector functions (:func:`fit_decay_constant`,
+:func:`localization_constant`, :func:`mean_position`,
+:func:`half_asymmetry`) are stacks of one.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ def classify_spectrum(
         raise ValueError(f"tol_imag must be finite and non-negative, got {tol_imag}")
     values = spectrum.eigenvalues
     im = np.abs(values.imag)
-    complex_idx = tuple(int(i) for i in np.flatnonzero(im > tol))
+    complex_idx = tuple(np.flatnonzero(im > tol).tolist())
     n_com = len(complex_idx)
     return SpectrumClassification(
         p_com=n_com / len(values),
@@ -99,27 +107,31 @@ def classify_spectrum(
     )
 
 
-def _weights(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    w = np.abs(v) ** 2
-    total = w.sum()
-    if total == 0:
+def _positions(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mean_position and half_asymmetry of each column of V.
+
+    The weights |v_j|^2 / sum |v|^2 form a (states x sites) array with
+    contiguous rows, so that each row sums in numpy's pairwise order, as a
+    1-D vector does."""
+    W = np.abs(np.ascontiguousarray(V.T)) ** 2
+    total = W.sum(axis=1, keepdims=True)
+    if np.any(total == 0):
         raise ValueError("zero vector")
-    return w / total
+    W = W / total
+    L = W.shape[1]
+    j = np.arange(1, L + 1)
+    return (W * j).sum(axis=1), (W * np.abs(j - L / 2)).sum(axis=1)
 
 
 def mean_position(v: np.ndarray) -> float:
     """Probability-weighted mean site index, in [1, L]."""
-    w = _weights(v)
-    return float(np.sum(w * np.arange(1, len(w) + 1)))
+    return float(_positions(np.asarray(v)[:, None])[0][0])
 
 
 def half_asymmetry(v: np.ndarray) -> float:
     """Mean distance from the chain midpoint L/2; detects inversion-symmetric
     localization that mean_position cannot see."""
-    w = _weights(v)
-    j = np.arange(1, len(w) + 1)
-    return float(np.sum(w * np.abs(j - len(w) / 2)))
+    return float(_positions(np.asarray(v)[:, None])[1][0])
 
 
 def default_fit_window(L: int, max_range: int) -> tuple[int, int]:
@@ -128,6 +140,38 @@ def default_fit_window(L: int, max_range: int) -> tuple[int, int]:
     lo = max(int(0.2 * L) + 1, margin + 1)
     hi = min(int(0.8 * L), L - margin)
     return lo, hi
+
+
+def _slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Least-squares slopes of the columns of Y (or of a vector Y) against x."""
+    dx = x - x.mean()
+    return (dx @ Y) / (dx @ dx)
+
+
+def _log_slopes(amps: np.ndarray, lo: int, L: int) -> np.ndarray:
+    """Slope of log(amps) of each column on the sites lo, lo+1, ..., times L."""
+    return _slopes(np.arange(lo, lo + len(amps), dtype=float), np.log(amps)) * L
+
+
+def _decay_constants(V: np.ndarray, window: tuple[int, int], edge_margin: int) -> np.ndarray:
+    """fit_decay_constant of each column of V; NaN for a column with a zero
+    amplitude in the window.  A bad window raises ValueError."""
+    L = V.shape[0]
+    lo, hi = window
+    if not (1 <= lo < hi <= L):
+        raise ValueError(f"window {window} not within [1, {L}]")
+    if hi - lo + 1 < _MIN_FIT_SITES:
+        raise ValueError(f"window must contain at least {_MIN_FIT_SITES} sites")
+    if lo <= edge_margin or hi > L - edge_margin:
+        raise ValueError(
+            f"window {window} touches the outermost {edge_margin} sites"
+        )
+    amps = np.abs(V[lo - 1 : hi])
+    zero = np.any(amps == 0, axis=0)
+    amps[:, zero] = 1.0
+    c = _log_slopes(amps, lo, L)
+    c[zero] = np.nan
+    return c
 
 
 def fit_decay_constant(
@@ -139,27 +183,26 @@ def fit_decay_constant(
     touch the outermost ``edge_margin`` sites are rejected (boundary layers
     carry the sub-dominant beta branch).
     """
-    v = np.asarray(v)
-    L = len(v)
-    lo, hi = window
-    if not (1 <= lo < hi <= L):
-        raise ValueError(f"window {window} not within [1, {L}]")
-    if hi - lo + 1 < _MIN_FIT_SITES:
-        raise ValueError(f"window must contain at least {_MIN_FIT_SITES} sites")
-    if lo <= edge_margin or hi > L - edge_margin:
-        raise ValueError(
-            f"window {window} touches the outermost {edge_margin} sites"
-        )
-    amps = np.abs(v[lo - 1 : hi])
-    if np.any(amps == 0):
+    c = float(_decay_constants(np.asarray(v)[:, None], window, edge_margin)[0])
+    if math.isnan(c):
         raise ValueError("window contains zero amplitudes")
-    return float(_log_slope(amps, lo, L))
+    return c
 
 
-def _log_slope(amps: np.ndarray, lo: int, L: int) -> float:
-    """Least-squares slope of log(amps) on the sites lo, lo+1, ..., times L."""
-    j = np.arange(lo, lo + len(amps), dtype=float)
-    return np.polyfit(j, np.log(amps), 1)[0] * L
+def _localization_constants(V: np.ndarray, max_range: int) -> np.ndarray:
+    """localization_constant of each column of V: all NaN when a
+    half-window is shorter than ``_MIN_FIT_SITES``."""
+    L = V.shape[0]
+    margin = max(max_range, 5)
+    half = L // 2
+    windows = ((margin + 1, half - margin), (half + margin, L - margin))
+    if any(hi - lo + 1 < _MIN_FIT_SITES for lo, hi in windows):
+        return np.full(V.shape[1], np.nan)
+    left, right = (
+        np.abs(_log_slopes(np.maximum(np.abs(V[lo - 1 : hi]), _AMP_FLOOR), lo, L))
+        for lo, hi in windows
+    )
+    return np.maximum(left, right)
 
 
 def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
@@ -171,28 +214,16 @@ def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
     sites (chains of fewer than about 40 sites), so that
     :func:`detect_bound_states` flags nothing there.
     """
-    v = np.asarray(v)
-    L = len(v)
-    margin = max(max_range, 5)
-    half = L // 2
-    best = 0.0
-    for lo, hi in ((margin + 1, half - margin), (half + margin, L - margin)):
-        if hi - lo + 1 < 10:
-            return float("nan")
-        amps = np.maximum(np.abs(v[lo - 1 : hi]), _AMP_FLOOR)
-        best = max(best, abs(_log_slope(amps, lo, L)))
-    return best
-
-
-def _is_bound(v: np.ndarray, max_range: int) -> bool:
-    """The fixed cut |c| > C_BOUND_CUT; a NaN |c| (short chain) is not bound."""
-    return localization_constant(v, max_range) > C_BOUND_CUT
+    return float(_localization_constants(np.asarray(v)[:, None], max_range)[0])
 
 
 def detect_bound_states(spectrum: Spectrum, max_range: int = 1) -> list[int]:
     """Indices of states localized with a size-independent decay length:
-    those whose half-window |c| exceeds ``C_BOUND_CUT``."""
-    return [k for k in range(spectrum.dimension) if _is_bound(spectrum.vector(k), max_range)]
+    those whose half-window |c| exceeds ``C_BOUND_CUT`` (a NaN |c|, on a
+    short chain, is not bound)."""
+    return np.flatnonzero(
+        _localization_constants(spectrum.vector(slice(None)), max_range) > C_BOUND_CUT
+    ).tolist()
 
 
 def bound_states_by_scaling(
@@ -217,16 +248,20 @@ def bound_states_by_scaling(
     big_spectrum, big_scale = solve(spec.resized(_SCALING_FACTOR * spec.L), vectors=False)
     big = big_spectrum.eigenvalues
     big_complex = big[list(classify_spectrum(big_spectrum, big_scale).complex_indices)]
-    out = []
-    for k in candidates:
-        e = spectrum.eigenvalues[k]
-        same_sign = big_complex[np.sign(big_complex.imag) == np.sign(e.imag)]
-        if len(same_sign) == 0:
-            continue
-        nearest = same_sign[np.argmin(np.abs(same_sign - e))]
-        if abs(nearest.imag) >= _IM_RATIO * abs(e.imag):
-            out.append(int(k))
-    return out
+    if big_complex.size == 0:
+        return []
+    idx = np.asarray(candidates, dtype=np.intp)
+    e = spectrum.eigenvalues[idx]
+    # (candidates x big complex) distances, infinite across an Im-E sign
+    dist = np.where(
+        np.sign(big_complex.imag) == np.sign(e.imag)[:, None],
+        np.abs(big_complex - e[:, None]),
+        np.inf,
+    )
+    nearest = big_complex[np.argmin(dist, axis=1)]
+    persists = np.isfinite(dist.min(axis=1))
+    persists &= np.abs(nearest.imag) >= _IM_RATIO * np.abs(e.imag)
+    return idx[persists].tolist()
 
 
 def _continuum(
@@ -241,11 +276,15 @@ def _continuum(
     with ``scaling_spec`` the survivors also take the size-doubling test of
     :func:`bound_states_by_scaling` on that model.  Both tests decide each
     state on its own, so a subset gives the full result restricted to it."""
-    remaining = [i for i in candidates if not _is_bound(spectrum.vector(i), max_range)]
-    if scaling_spec is not None and remaining:
-        bound = set(bound_states_by_scaling(scaling_spec, spectrum, remaining))
-        remaining = [i for i in remaining if i not in bound]
-    return remaining
+    idx = np.asarray(candidates, dtype=np.intp)
+    if idx.size == 0:
+        return []
+    c = _localization_constants(spectrum.vector(idx), max_range)
+    remaining = idx[~(c > C_BOUND_CUT)]
+    if scaling_spec is not None and remaining.size:
+        bound = bound_states_by_scaling(scaling_spec, spectrum, remaining.tolist())
+        remaining = remaining[~np.isin(remaining, bound)]
+    return remaining.tolist()
 
 
 def continuous_complex_indices(
@@ -276,20 +315,19 @@ def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int |
     by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
-    allowed = set(_continuum(spectrum, cls.complex_indices, max_range))
+    allowed = _continuum(spectrum, cls.complex_indices, max_range)
     if not allowed:
         return None
     values = spectrum.eigenvalues
     order = np.argsort(values.imag, kind="stable")
     tied = np.concatenate(([0], np.cumsum(np.diff(values.imag[order]) > cls.tol_imag)))
-    by_im = [int(i) for i in order[np.lexsort((values.real[order], tied))]]
+    by_im = order[np.lexsort((values.real[order], tied))]
+    # the eligible rank nearest the median, walking outward: half, half + 1,
+    # half - 1, half + 2, ...
+    ranks = np.flatnonzero(np.isin(by_im, allowed))
     half = len(by_im) // 2
-    # walk outward from the median until an eligible state is found
-    for off in range(len(by_im)):
-        for k in (half + off, half - off):
-            if 0 <= k < len(by_im) and by_im[k] in allowed:
-                return by_im[k]
-    return None
+    walk = 2 * np.abs(ranks - half) - (ranks > half)
+    return int(by_im[ranks[np.argmin(walk)]])
 
 
 def fit_scale_free(
@@ -338,7 +376,7 @@ def fit_scale_free(
     cs_arr = np.array(cs)
     c_mean = float(cs_arr.mean())
     spread = float((cs_arr.max() - cs_arr.min()) / abs(c_mean)) if c_mean else float("inf")
-    exponent = float(np.polyfit(np.log(sizes), np.log(max_ims), 1)[0])
+    exponent = float(_slopes(np.log(sizes), np.log(max_ims)))
     return ScaleFreeFit(
         sizes=sizes,
         c_estimates=tuple(float(c) for c in cs),
@@ -353,10 +391,7 @@ def mean_position_curve(spectrum: Spectrum) -> np.ndarray:
     Im E (ties by Re E)."""
     values = spectrum.eigenvalues
     order = np.lexsort((values.real, values.imag))
-    L = spectrum.dimension
-    return np.array(
-        [mean_position(spectrum.vector(int(i))) for i in order]
-    ) / L
+    return _positions(spectrum.vector(order))[0] / spectrum.dimension
 
 
 def self_similarity_deviation(curves: dict[int, np.ndarray]) -> float:
@@ -392,17 +427,14 @@ STATE_METRICS_COLUMNS = (
 def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[tuple]:
     """Per-state metric rows for CSV export, one tuple per state in the
     order of :data:`STATE_METRICS_COLUMNS`."""
+    V = spectrum.vector(slice(None))
     window = default_fit_window(spec.L, spec.max_range)
-    bound = set(detect_bound_states(spectrum, spec.max_range))
-    rows = []
-    for k in range(spectrum.dimension):
-        v = spectrum.vector(k)
-        try:
-            c_fit = fit_decay_constant(v, window, spec.max_range)
-        except ValueError:
-            c_fit = float("nan")
-        e = spectrum.eigenvalues[k]
-        rows.append(
-            (k, e.real, e.imag, mean_position(v), half_asymmetry(v), c_fit, int(k in bound))
-        )
-    return rows
+    try:
+        c_fit = _decay_constants(V, window, spec.max_range)
+    except ValueError:
+        c_fit = np.full(spectrum.dimension, np.nan)
+    bound = np.zeros(spectrum.dimension, dtype=int)
+    bound[detect_bound_states(spectrum, spec.max_range)] = 1
+    values = spectrum.eigenvalues
+    columns = (values.real, values.imag, *_positions(V), c_fit, bound)
+    return list(zip(range(spectrum.dimension), *(col.tolist() for col in columns)))

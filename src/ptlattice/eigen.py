@@ -86,7 +86,8 @@ class Spectrum:
     def dimension(self) -> int:
         return len(self.eigenvalues)
 
-    def vector(self, k: int) -> np.ndarray:
+    def vector(self, k: int | np.ndarray | slice) -> np.ndarray:
+        """Eigenvector k; an index array or a slice gives those columns."""
         if self.eigenvectors is None:
             raise ValueError("eigenvalue-only spectrum has no eigenvectors")
         return self.eigenvectors[:, k]

@@ -386,7 +386,10 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
     t = float(params["t"])
-    g_lo, g_hi = (float(x) for x in params["g_range"])
+    g_range = [float(x) for x in params["g_range"]]
+    if len(g_range) != 2:
+        raise ValueError(f"g_range needs two numbers, got {len(g_range)}")
+    g_lo, g_hi = g_range
     theta = float(params["theta"])
     phi = float(params["phi"])
     L = int(params["L"])

@@ -103,6 +103,13 @@ class SweepConfig:
     axis2: AxisSpec
     metric: Metric
 
+    def __post_init__(self):
+        if self.axis1.parameter == self.axis2.parameter:
+            raise ValueError(
+                f"axis1 and axis2 both sweep {self.axis1.parameter!r}; "
+                "they must name different parameters"
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "base_model": self.base_model.to_json_dict(),

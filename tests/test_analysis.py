@@ -23,7 +23,7 @@ from ptlattice.analysis import (
     localization_constant,
 )
 from ptlattice.eigen import solve
-from conftest import flux_ring, gain_chain, nnn_chain
+from conftest import flux_ring, gain_chain, nnn_chain, random_model
 
 
 def test_mean_position_uniform():
@@ -236,3 +236,118 @@ def test_fit_scale_free_validates_sizes():
         fit_scale_free(lambda L: gain_chain(L, g=1.0), [100, 200])
     with pytest.raises(ValueError):
         fit_scale_free(lambda L: gain_chain(L, g=1.0), [400, 200, 100])
+
+
+# Reference: the per-state np.polyfit rule that the stacked closed-form
+# slope replaced.  One call per window and state.
+def _polyfit_c(amps, lo, L):
+    return np.polyfit(np.arange(lo, lo + len(amps), dtype=float), np.log(amps), 1)[0] * L
+
+
+def _reference_localization_constant(v, max_range):
+    L = len(v)
+    margin = max(max_range, 5)
+    half = L // 2
+    best = 0.0
+    for lo, hi in ((margin + 1, half - margin), (half + margin, L - margin)):
+        if hi - lo + 1 < 10:
+            return math.nan
+        best = max(best, abs(_polyfit_c(np.maximum(np.abs(v[lo - 1 : hi]), 1e-300), lo, L)))
+    return best
+
+
+def _reference_c_fit(v, spec):
+    L, margin = spec.L, spec.max_range
+    lo, hi = default_fit_window(L, margin)
+    if not (1 <= lo < hi <= L) or hi - lo + 1 < 10 or lo <= margin or hi > L - margin:
+        return math.nan
+    amps = np.abs(v[lo - 1 : hi])
+    return math.nan if np.any(amps == 0) else _polyfit_c(amps, lo, L)
+
+
+# seeded random chains and rings as drawn (L <= 40: short-chain NaN |c|) and
+# resized to L = 120, the benchmark-like NNN chains and flux rings, and the
+# gain chain whose window holds an exactly zero amplitude in one state
+_STACKED_FIT_MODELS = (
+    [random_model(seed) for seed in range(12)]
+    + [random_model(seed).resized(120) for seed in range(12)]
+    + [nnn_chain(100, 1.0, 0.5, g) for g in (0.3, 1.0, 3.0)]
+    + [flux_ring(60, 0.4 / 60, 0.8), gain_chain(400, 1.0, 1.5)]
+)
+
+
+@pytest.mark.parametrize("k", range(len(_STACKED_FIT_MODELS)))
+def test_stacked_fits_match_per_state_polyfit(k):
+    spec = _STACKED_FIT_MODELS[k]
+    spectrum, scale = solve(spec)
+    V = spectrum.eigenvectors
+    states = range(spectrum.dimension)
+    ref_c = np.array([_reference_localization_constant(V[:, i], spec.max_range) for i in states])
+    ref_fit = np.array([_reference_c_fit(V[:, i], spec) for i in states])
+    rows = analysis.state_metrics_rows(spec, spectrum)
+    c = analysis._localization_constants(V, spec.max_range)
+    c_fit = np.array([row[5] for row in rows])
+
+    assert np.array_equal(np.isnan(c), np.isnan(ref_c))
+    assert np.array_equal(np.isnan(c_fit), np.isnan(ref_fit))
+    np.testing.assert_allclose(c, ref_c, rtol=0, atol=1e-11, equal_nan=True)
+    np.testing.assert_allclose(c_fit, ref_fit, rtol=0, atol=1e-11, equal_nan=True)
+
+    ref_bound = [i for i in states if ref_c[i] > analysis.C_BOUND_CUT]
+    assert detect_bound_states(spectrum, spec.max_range) == ref_bound
+    assert [row[6] for row in rows] == [int(i in ref_bound) for i in states]
+    complex_idx = classify_spectrum(spectrum, scale).complex_indices
+    want = [i for i in complex_idx if not ref_c[i] > analysis.C_BOUND_CUT]
+    assert analysis._continuum(spectrum, complex_idx, spec.max_range) == want
+
+    # position measures: each stacked row sums as the per-vector 1-D sum does
+    for i in states:
+        w = np.abs(V[:, i]) ** 2
+        w = w / w.sum()
+        j = np.arange(1, spec.L + 1)
+        assert rows[i][3] == float(np.sum(w * j)) == mean_position(V[:, i])
+        assert rows[i][4] == float(np.sum(w * np.abs(j - spec.L / 2))) == half_asymmetry(V[:, i])
+    order = np.lexsort((spectrum.eigenvalues.real, spectrum.eigenvalues.imag))
+    want_curve = np.array([rows[i][3] for i in order]) / spec.L
+    assert np.array_equal(analysis.mean_position_curve(spectrum), want_curve)
+
+
+def test_stacked_fit_nan_patterns():
+    # the L = 400 gain chain above onset has one state with an exactly zero
+    # amplitude in its window: NaN c_fit there, and only there
+    spec = gain_chain(400, 1.0, 1.5)
+    spectrum, _ = solve(spec)
+    rows = analysis.state_metrics_rows(spec, spectrum)
+    assert sum(math.isnan(row[5]) for row in rows) == 1
+    # chains too short for a half-window: every |c| is NaN and nothing is bound
+    short = nnn_chain(30, 1.0, 0.5, 3.0)
+    spectrum, _ = solve(short)
+    assert np.isnan(analysis._localization_constants(spectrum.eigenvectors, 2)).all()
+    assert detect_bound_states(spectrum, 2) == []
+    assert math.isnan(localization_constant(spectrum.vector(0), 2))
+
+
+def test_per_vector_fits_are_stacks_of_one():
+    v = np.exp(-0.05 * np.arange(1, 101)).astype(complex)
+    V = np.stack([v, v[::-1], np.ones(100)], axis=1)
+    window = default_fit_window(100, 1)
+    # a stack of one and a wider stack take different BLAS kernels, so they
+    # agree to roundoff, not bit for bit
+    np.testing.assert_allclose(
+        [fit_decay_constant(V[:, i], window) for i in range(3)],
+        analysis._decay_constants(V, window, 1),
+        rtol=1e-13, atol=1e-13,
+    )
+    np.testing.assert_allclose(
+        [localization_constant(V[:, i]) for i in range(3)],
+        analysis._localization_constants(V, 1),
+        rtol=1e-13, atol=1e-13,
+    )
+    assert localization_constant(v) == pytest.approx(5.0)
+    v[50] = 0.0
+    with pytest.raises(ValueError, match="zero amplitudes"):
+        fit_decay_constant(v, window)
+    with pytest.raises(ValueError, match="zero vector"):
+        mean_position(np.zeros(10))
+    with pytest.raises(ValueError, match="eigenvalue-only"):
+        detect_bound_states(solve(gain_chain(60), vectors=False)[0])

@@ -214,7 +214,8 @@ def test_criterion_refines_only_out_of_window_candidates(scaling_calls, t2, g):
     outside = _out_of_window(
         spec, spectrum.eigenvalues, classify_spectrum(spectrum, scale).complex_indices
     )
-    candidates = [i for i in outside if not analysis._is_bound(spectrum.vector(i), spec.max_range)]
+    c = analysis._localization_constants(spectrum.eigenvectors[:, outside], spec.max_range)
+    candidates = [i for i, ci in zip(outside, c) if not ci > analysis.C_BOUND_CUT]
     assert len(candidates) == 2
     report = criterion_check(spec)
     assert scaling_calls == [candidates]

@@ -396,7 +396,9 @@ def test_nonbloch_audit_reports_ill_conditioned_rows_apart(tmp_path):
     assert sidecar["max_normalized_boundary_det_ill_conditioned"] >= 0.0
 
 
-@pytest.mark.parametrize("g_range", [[1.5, 0.0], [0.0, float("nan")]])
+@pytest.mark.parametrize(
+    "g_range", [[1.5, 0.0], [0.0, float("nan")], [0.0, 1.0, 2.0], [1.0]]
+)
 def test_nonbloch_bad_g_range_exits_1(tmp_path, capsys, g_range):
     doc = {
         "model": flux_ring(24, 0.4, 0.8, phi=math.pi / 2).to_json_dict(),

@@ -138,6 +138,25 @@ def test_scan_over_a_missing_perturbation_exits_1(tmp_path, capsys, path):
     assert list(out.iterdir()) == []
 
 
+def test_scan_over_one_parameter_twice_exits_1(tmp_path, capsys):
+    # axis2 once overwrote axis1: every grid row was the same, under a
+    # g,g,value header
+    doc = {
+        "base_model": flux_ring(24, 0.4, 0.8).to_json_dict(),
+        "axis1": {"parameter": "g", "min": 0.2, "max": 0.5, "steps": 2},
+        "axis2": {"parameter": "g", "min": 0.2, "max": 1.0, "steps": 3},
+        "metric": "PCom",
+    }
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "axis1 and axis2 both sweep 'g'" in err
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_deterministic_across_thread_counts():
     cfg = _small_config()
     g1 = run_sweep(cfg, threads=1)
@@ -369,8 +388,8 @@ def test_open_chain_sweep_counts_continuum(metric):
 def test_stack_size():
     def stack(L, metric="PCom", chain=False):
         base = nnn_chain(L, 1.0, 0.5, 0.3) if chain else flux_ring(L, 0.1, 0.5)
-        axis = AxisSpec("g", 0.0, 1.0, 2)
-        return sweep._stack_size(SweepConfig(base, axis, axis, Metric(metric)))
+        axes = AxisSpec("t2", 0.0, 0.5, 2), AxisSpec("g", 0.0, 1.0, 2)
+        return sweep._stack_size(SweepConfig(base, *axes, Metric(metric)))
 
     assert [stack(L) for L in (20, 100, 167, 250, 500, 501, 800)] == [26, 6, 3, 3, 2, 1, 1]
     # ceil(501/L) for every metric and boundary, with eigenvectors or without
