@@ -120,11 +120,7 @@ def _critical_values(h: HoppingSet) -> list[float]:
 def pt_breaking_window(h: HoppingSet) -> PTWindow:
     """Energy intervals between band critical values where E(k) = eps has
     multiplicity >= 4, probed at interval midpoints."""
-    return _window(h, _critical_values(h))
-
-
-def _window(h: HoppingSet, critical_vals: list[float]) -> PTWindow:
-    """pt_breaking_window(h), given h's _critical_values."""
+    critical_vals = _critical_values(h)
     intervals: list[tuple[float, float]] = []
     mults: list[int] = []
     for lo, hi in zip(critical_vals, critical_vals[1:]):
@@ -148,8 +144,8 @@ def criterion_check(spec: ModelSpec) -> CriterionReport:
     """
     if spec.boundary is not Boundary.OPEN:
         raise ValueError("criterion applies to open chains")
+    window = pt_breaking_window(spec.hoppings)
     critical_vals = _critical_values(spec.hoppings)
-    window = _window(spec.hoppings, critical_vals)
     tol = 5.0 * (critical_vals[-1] - critical_vals[0]) / spec.L
 
     spectrum, scale = solve(spec)

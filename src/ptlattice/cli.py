@@ -26,6 +26,7 @@ from .eigen import EigensolverError, solve
 from .lattice import ModelSpec, _integer
 from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
+    Metric,
     SweepConfig,
     _first_onset,
     _grid_fields,
@@ -143,7 +144,7 @@ def _cmd_scan(doc: dict, out: Path, args) -> tuple[str, dict]:
     grid = run_sweep(config, threads=args.threads, cache_dir=out)
     key = config_hash(config)
     onsets, uncertain = [], []
-    if grid.metric.value != "MaxImE":
+    if grid.metric is not Metric.MAX_IM_E:
         onsets, uncertain = threshold_extract(grid), uncertain_onsets(grid)
     write_grid_csv(grid, out / f"grid_{key}.csv")
     header = (config.axis1.parameter, f"onset_{config.axis2.parameter}")

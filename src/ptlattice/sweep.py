@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _continuum, classify_spectrum
-from .eigen import EigensolverError, Spectrum, _single_threaded_blas, solve, solve_stack
+from .eigen import EigensolverError, _single_threaded_blas, solve, solve_stack
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _integer
 
 __all__ = [
@@ -187,11 +187,6 @@ def config_hash(config: SweepConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _values_only(config: SweepConfig) -> bool:
-    """True when the metric needs no eigenvectors (no bound-state test)."""
-    return config.metric is Metric.MAX_IM_E or config.base_model.boundary is not Boundary.OPEN
-
-
 def _stack_size(config: SweepConfig) -> int:
     """Points per LAPACK call: the smallest k with k * L > 500 (numpy's
     linalg releases the GIL only for a loop longer than 500, so a smaller
@@ -200,35 +195,32 @@ def _stack_size(config: SweepConfig) -> int:
     return 500 // config.base_model.L + 1
 
 
-def _point_value(
-    config: SweepConfig, spec: ModelSpec, spectrum: Spectrum, scale: float
-) -> tuple[float, int]:
-    """The metric of one solved point, and its classification's near_cut
-    (0 for MaxImE, which does not classify)."""
-    if config.metric is Metric.MAX_IM_E:
-        return float(np.max(np.abs(spectrum.eigenvalues.imag))), 0
-    cls = classify_spectrum(spectrum, scale)
-    open_chain = spec.boundary is Boundary.OPEN
-    n_com = (
-        len(_continuum(spectrum, cls.complex_indices, spec.max_range)) if open_chain else cls.n_com
-    )
-    p_com = n_com / spec.L
-    if config.metric is Metric.THRESHOLD_COMPARE:
-        return (1.0 if p_com > 0 else 0.0), cls.near_cut
-    return p_com, cls.near_cut
-
-
 def _chunk_metrics(
     config: SweepConfig, points: list[tuple[float, float]]
 ) -> list[tuple[float, int]]:
     """(metric, near_cut) of each (v1, v2) point of one chunk, solved in
-    one stack."""
+    one stack.  MaxImE is max |Im E|, with near_cut 0 (it does not
+    classify).  PCom counts the complex states, on an open chain only
+    those of the continuum, whose bound-state test is the one reader of
+    eigenvectors; ThresholdCompare is 1 where PCom is positive, else 0."""
     specs = []
     for v1, v2 in points:
         spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
         specs.append(apply_parameter(spec, config.axis2.parameter, v2))
-    solved = solve_stack(specs, vectors=not _values_only(config))
-    return [_point_value(config, spec, *result) for spec, result in zip(specs, solved)]
+    continuum = config.metric is not Metric.MAX_IM_E and config.base_model.boundary is Boundary.OPEN
+    metrics = []
+    for spec, (spectrum, scale) in zip(specs, solve_stack(specs, vectors=continuum)):
+        if config.metric is Metric.MAX_IM_E:
+            metrics.append((float(np.max(np.abs(spectrum.eigenvalues.imag))), 0))
+            continue
+        cls = classify_spectrum(spectrum, scale)
+        n_com = cls.n_com
+        if continuum:
+            n_com = len(_continuum(spectrum, cls.complex_indices, spec.max_range))
+        p_com = n_com / spec.L
+        value = (1.0 if p_com > 0 else 0.0) if config.metric is Metric.THRESHOLD_COMPARE else p_com
+        metrics.append((value, cls.near_cut))
+    return metrics
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -267,7 +259,8 @@ def run_sweep(
     diagnostic message instead of aborting the sweep; ``provenance``
     lists their ``[i, j]`` grid indices under ``nan_points`` (cached NaN
     points included).  The pool has ``threads`` workers (the executor
-    default when None), and BLAS is pinned to one thread while it runs.
+    default when None; below 1 raises ValueError before the cache is
+    read), and BLAS is pinned to one thread while it runs.
     ``provenance`` records both: ``workers`` (0 when every point came from
     the cache) and ``blas_threads`` (1, or None when no OpenBLAS control
     was found).  It also records ``stack``, the points per LAPACK call,
@@ -276,6 +269,8 @@ def run_sweep(
     eigenvalues near the real/complex cut (``near_cut`` > 0).  Cached
     points are not re-solved, so they are never listed there.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     key = config_hash(config)
     v1s, v2s = config.axis1.values, config.axis2.values
     cached: dict[tuple[int, int], float] = {}

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from ptlattice import Boundary, ModelSpec
 from ptlattice.analysis import default_fit_window
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError
-from ptlattice.sweep import SweepConfig, config_hash
+from ptlattice.sweep import SweepConfig, config_hash, run_sweep
 from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
 
 
@@ -59,6 +60,18 @@ def test_spectrum_sidecar_health(tmp_path):
     cfg = _write(tmp_path, "g.json", gain_chain(50, g=1.5).to_json_dict())
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "spectrum.json").read_text())["real_pt_basis"] is False
+
+
+def test_spectrum_long_open_chain(tmp_path):
+    # every state's c_fit and half-window |c| come from one stacked slope fit
+    cfg = _write(tmp_path, "m.json", nnn_chain(400, 1.0, 0.5, 1.0).to_json_dict())
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    with (out / "spectrum.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 400
+    assert not any(math.isnan(float(row["c_fit"])) for row in rows)
+    assert sum(int(row["is_bound"]) for row in rows) == 2
 
 
 def test_spectrum_short_open_chain(tmp_path):
@@ -276,24 +289,46 @@ def test_meaningless_tol_imag_exits_1(tmp_path, capsys, tol):
     assert not (out / "spectrum.json").exists()
 
 
+# t2 x g on the open L = 100 NNN chain: its 6 points solve eigenvectors,
+# in one stack of ceil(501/L) = 6
+_OPEN_CHAIN_SCAN = {
+    "base_model": nnn_chain(100, 1.0, 0.05, 1.0).to_json_dict(),
+    "axis1": {"parameter": "t2", "min": 0.05, "max": 0.5, "steps": 2},
+    "axis2": {"parameter": "g", "min": 0.0, "max": 1.0, "steps": 3},
+    "metric": "PCom",
+}
+
+
 def test_scan_writes_grid_and_onsets(tmp_path):
-    doc = {
-        "base_model": flux_ring(16, 0.1, 0.5, phi=math.pi / 2).to_json_dict(),
-        "axis1": {"parameter": "flux_theta", "min": 0.05, "max": 0.15, "steps": 2},
-        "axis2": {"parameter": "g", "min": 0.0, "max": 1.0, "steps": 4},
-        "metric": "PCom",
-    }
-    cfg = _write(tmp_path, "scan.json", doc)
+    for name, doc, stack in (("ring", _scan_doc(), 32), ("chain", _OPEN_CHAIN_SCAN, 6)):
+        cfg = _write(tmp_path, f"{name}.json", doc)
+        out = tmp_path / name
+        assert main(["scan", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        grids = list(out.glob("grid_*.csv"))
+        onsets = list(out.glob("onset_*.csv"))
+        assert len(grids) == 1 and len(onsets) == 1
+        steps = doc["axis1"]["steps"] * doc["axis2"]["steps"]
+        assert len(grids[0].read_text().splitlines()) == 1 + steps
+        key = config_hash(SweepConfig.from_json_dict(doc))
+        sidecar = json.loads((out / f"grid_{key}.json").read_text())
+        assert sidecar["metric"] == "PCom"
+        provenance = sidecar["provenance"]
+        assert provenance["config_hash"] == key
+        assert provenance["stack"] == stack and provenance["nan_points"] == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_scan_rejects_threads_below_1(tmp_path, capsys, threads):
+    # checked before the cache is read: a rerun whose points are all cached
+    # starts no pool, and must fail as a fresh run does
+    cfg = _write(tmp_path, "scan.json", _scan_doc())
     out = tmp_path / "o"
-    assert main(["scan", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
-    grids = list(out.glob("grid_*.csv"))
-    onsets = list(out.glob("onset_*.csv"))
-    assert len(grids) == 1 and len(onsets) == 1
-    assert len(grids[0].read_text().splitlines()) == 1 + 2 * 4
-    key = config_hash(SweepConfig.from_json_dict(doc))
-    sidecar = json.loads((out / f"grid_{key}.json").read_text())
-    assert sidecar["metric"] == "PCom"
-    assert sidecar["provenance"]["config_hash"] == key
+    for cached in (False, True):
+        if cached:
+            run_sweep(SweepConfig.from_json_dict(_scan_doc()), threads=1, cache_dir=out)
+        assert main(["scan", "--config", cfg, "--out", str(out), "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"config error: threads must be at least 1, got {threads}\n"
+        assert list(out.glob("grid_*")) == []
 
 
 def test_scan_outputs_reproducible(tmp_path):
@@ -383,17 +418,19 @@ def test_nonbloch_audits_a_clean_ring(tmp_path):
 
 def test_nonbloch_audit_reports_ill_conditioned_rows_apart(tmp_path):
     # without flux the clean ring has E = +-2, where beta = +-1 is a double
-    # root; at L = 100 those two rows read about 7e-8 from roundoff, and the
-    # audit's maximum must come from the well-conditioned rows alone
-    ring = replace(flux_ring(100, 0.0, 0.0), perturbations=())
-    cfg = _write(tmp_path, "n.json", {"model": ring.to_json_dict()})
-    out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="coincident beta roots at 2 of 100"):
-        assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 0
-    sidecar = json.loads((out / "nonbloch.json").read_text())
-    assert sidecar["ill_conditioned"] == 2
-    assert sidecar["max_normalized_boundary_det"] < 1e-9
-    assert sidecar["max_normalized_boundary_det_ill_conditioned"] >= 0.0
+    # root; at L = 100 those two rows read about 7e-8 from roundoff (0 at
+    # L = 24), and the audit's maximum must come from the well-conditioned
+    # rows alone
+    for L in (24, 100):
+        ring = replace(flux_ring(L, 0.0, 0.0), perturbations=())
+        cfg = _write(tmp_path, "n.json", {"model": ring.to_json_dict()})
+        out = tmp_path / str(L)
+        with pytest.warns(RuntimeWarning, match=f"coincident beta roots at 2 of {L} "):
+            assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 0
+        sidecar = json.loads((out / "nonbloch.json").read_text())
+        assert sidecar["ill_conditioned"] == 2
+        assert sidecar["max_normalized_boundary_det"] < 1e-9
+        assert sidecar["max_normalized_boundary_det_ill_conditioned"] >= 0.0
 
 
 @pytest.mark.parametrize(

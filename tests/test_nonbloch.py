@@ -213,6 +213,23 @@ def test_band_critical_values_ill_conditioned(spec, critical):
         assert not boundary_determinant(spec, characteristic_roots(spec.hoppings, 0.1)).ill_conditioned
 
 
+@pytest.mark.parametrize(
+    "L, g, n_complex, n_edge", [(100, 0.3, 28, 10), (400, 0.3, 104, 34), (400, 1.0, 72, 26)]
+)
+def test_roots_at_band_edge_complex_energies(L, g, n_complex, n_edge):
+    # Re E = -1.5 is the band minimum at t2 = 0.5.  Near it a complex
+    # eigenvalue has a root with L |ln|beta|| down to 0.0035, and the root
+    # polish must still pass its residual check on every state
+    spec = nnn_chain(L, 1.0, 0.5, g)
+    spectrum, scale = solve(spec, vectors=False)
+    energies = spectrum.eigenvalues[list(classify_spectrum(spectrum, scale).complex_indices)]
+    assert len(energies) == n_complex
+    assert np.count_nonzero(np.abs(energies.real + 1.5) < 0.05) == n_edge
+    roots = _root_stack(spec.hoppings, energies)
+    assert roots.shape == (n_complex, 4)
+    assert L * np.min(np.abs(np.log(np.abs(roots)))) < 0.025
+
+
 def test_boundary_determinant_unperturbed_ring_zeros():
     # with g = 0 the determinant vanishes exactly at the ring eigenvalues
     from ptlattice import Boundary, ModelSpec

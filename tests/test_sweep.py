@@ -8,6 +8,7 @@ import pytest
 
 from ptlattice import (
     AxisSpec,
+    Boundary,
     Metric,
     ModelSpec,
     PhaseGrid,
@@ -18,7 +19,7 @@ from ptlattice import (
 from ptlattice import sweep
 from ptlattice.analysis import classify_spectrum, detect_bound_states
 from ptlattice.cli import main
-from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve
+from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve, solve_stack
 from ptlattice.lattice import is_pt_symmetric
 from ptlattice.nonbloch import _ring_parameters
 from ptlattice.sweep import (
@@ -395,6 +396,25 @@ def test_stack_size():
     # ceil(501/L) for every metric and boundary, with eigenvectors or without
     for metric in ("PCom", "ThresholdCompare", "MaxImE"):
         assert stack(100, metric) == stack(100, metric, chain=True) == 6
+
+
+def test_sweep_solves_vectors_only_for_the_open_chain_continuum(monkeypatch):
+    # the bound-state test is the one reader of eigenvectors, and only
+    # open-chain PCom and ThresholdCompare run it
+    flags = []
+
+    def record(specs, vectors=True):
+        flags.append(vectors)
+        return solve_stack(specs, vectors=vectors)
+
+    monkeypatch.setattr(sweep, "solve_stack", record)
+    axes = AxisSpec("t2", 0.0, 0.5, 2), AxisSpec("g", 0.2, 1.0, 3)
+    for base in (flux_ring(20, 0.1, 0.5), nnn_chain(40, 1.0, 0.5, 0.5)):
+        for metric in Metric:
+            flags.clear()
+            run_sweep(SweepConfig(base, *axes, metric), threads=1)
+            open_continuum = base.boundary is Boundary.OPEN and metric is not Metric.MAX_IM_E
+            assert flags == [open_continuum], (base.boundary, metric)
 
 
 def test_sweep_near_cut_points(monkeypatch, tmp_path):
