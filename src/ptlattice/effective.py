@@ -6,6 +6,13 @@ predict the transition.  The two-level block on the flux ring yields a
 closed-form threshold g_c; an odd-dimensional block of evenly spaced levels
 can acquire an emergent chiral symmetry that pins the middle level to the
 real axis and suppresses PT breaking entirely.
+
+Every flux-ring block is built from two rules, each written once: the
+unperturbed levels 2t cos(k + theta) (``_levels``) and the plane-wave matrix
+element of the end pair g e^{+-i phi}, (2g/L) cos(phi + (k_a - k_b)(L - 1)/2)
+(``_coupling``).  :func:`project_perturbation` over :func:`ring_plane_waves`
+gives the same elements numerically.  Block eigenvalues come from
+:func:`ptlattice.eigen.eigvals`, trace-checked and sorted by (Re E, Im E).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .eigen import eigvals
 from .lattice import PerturbationTerm
 
 __all__ = [
@@ -68,7 +76,8 @@ class EffectiveBlock:
         )
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
+        """Eigenvalues in (Re E, Im E) order, trace-checked by :func:`eigvals`."""
+        return eigvals(self.matrix)
 
 
 def project_perturbation(
@@ -86,6 +95,20 @@ def project_perturbation(
             basis[p.site_i - 1].conj(), basis[p.site_j - 1]
         )
     return out
+
+
+def _levels(momenta: np.ndarray, theta: float, t: float) -> np.ndarray:
+    """Unperturbed ring levels 2t cos(k + theta) under flux theta per bond."""
+    return 2.0 * t * np.cos(momenta + theta)
+
+
+def _coupling(
+    L: int, phi: float, g: float, k_a: np.ndarray, k_b: np.ndarray
+) -> np.ndarray:
+    """<k_a| V |k_b> of V = g e^{i phi}|1><1| + g e^{-i phi}|L><L| between the
+    plane waves of :func:`ring_plane_waves`, for every k_a (rows) and k_b
+    (columns): (2g/L) cos(phi + (k_a - k_b)(L - 1)/2)."""
+    return (2.0 * g / L) * np.cos(phi + np.subtract.outer(k_a, k_b) * ((L - 1) / 2.0))
 
 
 def eff_h_pbc(
@@ -125,10 +148,9 @@ def eff_h_pbc(
     dx = sign * (2.0 / L) * math.cos(k) * math.cos(phi)
     dy = sign * (2.0 / L) * math.sin(k) * math.sin(phi)
 
-    gap_next = 2.0 * t * abs(
-        math.cos(k + theta) - math.cos(2.0 * math.pi * (n + 1) / L + theta)
-    )
-    if 2.0 * g / L > 0.5 * gap_next:
+    momenta = 2.0 * math.pi * np.arange(L) / L
+    energies = _levels(momenta, theta, t)
+    if 2.0 * g / L > 0.5 * abs(energies[n] - energies[n + 1]):
         warnings.warn(
             "projected coupling exceeds half the gap to the nearest excluded "
             "level; two-level truncation is unreliable here",
@@ -136,20 +158,15 @@ def eff_h_pbc(
             stacklevel=2,
         )
 
-    matrix = (
-        d0 * np.eye(2) + delta12 * _SZ + g * dx * _SX + 1j * g * dy * _SY
-    )
+    pair = np.array([n, L - n])
+    levels = np.diag(energies[pair]).astype(np.complex128)
+    matrix = levels + _coupling(L, phi, g, momenta[pair], momenta[pair])
     if order == 2:
-        # plane-wave couplings in closed form (cf. ring_plane_waves):
-        # V_ab = (2g/L) cos(phi + (k_a - k_b)(L-1)/2)
-        pair = np.array([k, 2.0 * math.pi - k])
-        m = np.arange(L)
-        others = 2.0 * math.pi * m[(m != n) & (m != L - n)] / L
-        half = (L - 1) / 2.0
-        v_out = (2.0 * g / L) * np.cos(phi + (pair[:, None] - others) * half)
-        v_in = (2.0 * g / L) * np.cos(phi + (others[:, None] - pair) * half)
-        e_bar = 2.0 * t * math.cos(k) * math.cos(theta)
-        denom = e_bar - 2.0 * t * np.cos(others + theta)
+        others = np.delete(np.arange(L), pair)
+        v_out = _coupling(L, phi, g, momenta[pair], momenta[others])
+        v_in = _coupling(L, phi, g, momenta[others], momenta[pair])
+        e_bar = 2.0 * t * math.cos(k) * math.cos(theta)  # mean of the pair's levels
+        denom = e_bar - energies[others]
         return EffectiveBlock(
             dimension=2, matrix=matrix + (v_out / denom) @ v_in, coupling=g
         )
@@ -166,6 +183,16 @@ def _pair_momenta(L: int) -> np.ndarray:
     return 2.0 * math.pi * n / L
 
 
+def _flux_sine(theta: float) -> float:
+    """sin(theta) of a finite flux theta with sin(theta) >= 0, else ValueError."""
+    if not math.isfinite(theta):
+        raise ValueError(f"flux theta must be finite, got {theta}")
+    sin_theta = math.sin(theta)
+    if sin_theta < 0:
+        raise ValueError(f"requires sin(theta) >= 0, got theta = {theta}")
+    return sin_theta
+
+
 def threshold_pbc(L: int, theta: float, phi: float, t: float) -> float:
     """Smallest g at which some two-level block discriminant
 
@@ -175,23 +202,21 @@ def threshold_pbc(L: int, theta: float, phi: float, t: float) -> float:
     with A < 0.  Returns inf when no mode can break (A >= 0 everywhere).
     These are the first-order blocks of :func:`eff_h_pbc`.
     """
-    if math.sin(theta) < 0:
-        raise ValueError("requires sin(theta) >= 0")
+    sin_theta = _flux_sine(theta)
     k = _pair_momenta(L)
     A = np.cos(k) ** 2 * math.cos(phi) ** 2 - np.sin(k) ** 2 * math.sin(phi) ** 2
     mask = A < 0
     if not np.any(mask):
         return math.inf
     ratios = np.abs(np.sin(k[mask])) / np.sqrt(-A[mask])
-    return float(t * L * math.sin(theta) * np.min(ratios))
+    return float(t * L * sin_theta * np.min(ratios))
 
 
 def threshold_pbc_printed(L: int, theta: float, phi: float, t: float) -> float:
     """Threshold from (g_c/(tL))^2 = sin(theta) * min_+ of
     -2 sin^2 k / (cos 2k + cos 2phi), kept verbatim for comparison; it
     disagrees with :func:`threshold_pbc` by a power of sin(theta)."""
-    if math.sin(theta) < 0:
-        raise ValueError("requires sin(theta) >= 0")
+    sin_theta = _flux_sine(theta)
     k = _pair_momenta(L)
     denom = np.cos(2 * k) + math.cos(2 * phi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -199,7 +224,7 @@ def threshold_pbc_printed(L: int, theta: float, phi: float, t: float) -> float:
     vals = vals[np.isfinite(vals) & (vals > 0)]
     if len(vals) == 0:
         return math.inf
-    return float(t * L * math.sqrt(math.sin(theta) * np.min(vals)))
+    return float(t * L * math.sqrt(sin_theta * np.min(vals)))
 
 
 def eff_h_obc(
@@ -278,23 +303,16 @@ def ring_multiband_projection(
     (2g/L) cos(pi/L) and 2g/L, and ||P~ H P~ + H|| = (2g/L)(1 - cos(pi/L)),
     at most g pi^2/L^3.
     """
-    ms = np.arange(1, L + 1)
-    energies = 2.0 * t * np.cos(2.0 * math.pi * ms / L + theta)
+    momenta = 2.0 * math.pi * np.arange(1, L + 1) / L
+    energies = _levels(momenta, theta, t)
     order = np.argsort(energies)
     pos = int(np.flatnonzero(order == n - 1)[0])
     if pos - w < 0 or pos + w >= L:
         raise ValueError("window extends past the spectrum edge")
     window = order[pos - w : pos + w + 1]
-    momenta = [2.0 * math.pi * (m + 1) / L for m in window]
     level_e = energies[window]
     deltaE = float((level_e[-1] - level_e[0]) / (2 * w)) if w > 0 else 0.0
-
-    vecs = ring_plane_waves(L, momenta)
-    V = (
-        PerturbationTerm(1, 1, g * cmath.exp(1j * phi)),
-        PerturbationTerm(L, L, g * cmath.exp(-1j * phi)),
-    )
-    projected = project_perturbation(vecs, V)
     # The construction assumes evenly spaced levels; residual unevenness of
     # the true spacings is dropped along with the constant E(k_n + theta).
-    return multiband_block(w, deltaE, projected)
+    k = momenta[window]
+    return multiband_block(w, deltaE, _coupling(L, phi, g, k, k))

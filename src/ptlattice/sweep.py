@@ -56,6 +56,21 @@ class Metric(enum.Enum):
     THRESHOLD_COMPARE = "ThresholdCompare"
 
 
+def _field(doc, path: str, convert=lambda value: value):
+    """convert(doc[key]), key the last part of the dotted JSON path; a
+    missing key, a doc that is not an object or a rejected value raises
+    ValueError naming the path."""
+    parent, _, key = path.rpartition(".")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{parent or 'config'!r} must be an object, got {doc!r}")
+    if key not in doc:
+        raise ValueError(f"missing field {path!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {path!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     parameter: str
@@ -87,12 +102,13 @@ class AxisSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "AxisSpec":
+    def from_json_dict(cls, d: dict, path: str = "axis") -> "AxisSpec":
+        """The axis in d, whose JSON path ``path`` prefixes error messages."""
         return cls(
-            parameter=str(d["parameter"]),
-            min=float(d["min"]),
-            max=float(d["max"]),
-            steps=_integer(d["steps"], "steps"),
+            parameter=_field(d, f"{path}.parameter", str),
+            min=_field(d, f"{path}.min", float),
+            max=_field(d, f"{path}.max", float),
+            steps=_field(d, f"{path}.steps", _integer),
         )
 
 
@@ -121,10 +137,10 @@ class SweepConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepConfig":
         return cls(
-            base_model=ModelSpec.from_json_dict(d["base_model"]),
-            axis1=AxisSpec.from_json_dict(d["axis1"]),
-            axis2=AxisSpec.from_json_dict(d["axis2"]),
-            metric=Metric(d["metric"]),
+            base_model=_field(d, "base_model", ModelSpec.from_json_dict),
+            axis1=AxisSpec.from_json_dict(_field(d, "axis1"), "axis1"),
+            axis2=AxisSpec.from_json_dict(_field(d, "axis2"), "axis2"),
+            metric=_field(d, "metric", Metric),
         )
 
 

@@ -461,6 +461,48 @@ def test_effective_subcommand(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("via", ["config", "override"])
+def test_effective_rejects_non_finite_theta(tmp_path, capsys, literal, via):
+    doc = {"model": flux_ring(24, 0.4 / 24, 0.8).to_json_dict(), "thetas": [0.01]}
+    if via == "config":
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(doc).replace("[0.01]", f"[{literal}]"))
+        extra = []
+    else:
+        path = _write(tmp_path, "e.json", doc)
+        extra = ["--override", f"thetas=[{literal}]"]
+    out = tmp_path / "o"
+    assert main(["effective", "--config", str(path), "--out", str(out), *extra]) == 1
+    assert "config error: flux theta must be finite" in capsys.readouterr().err
+    assert not (out / "thresholds.csv").exists()
+
+
+# case: (edit of _scan_doc(), expected message)
+_SCAN_CONFIG_ERRORS = {
+    "no_metric": (lambda d: d.pop("metric"), "missing field 'metric'"),
+    "no_axis2": (lambda d: d.pop("axis2"), "missing field 'axis2'"),
+    "no_base_model": (lambda d: d.pop("base_model"), "missing field 'base_model'"),
+    "no_axis1_steps": (lambda d: d["axis1"].pop("steps"), "missing field 'axis1.steps'"),
+    "axis1_min_string": (
+        lambda d: d["axis1"].update(min="a"),
+        "field 'axis1.min': could not convert string to float: 'a'",
+    ),
+    "axis1_number": (lambda d: d.update(axis1=5), "'axis1' must be an object, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CONFIG_ERRORS))
+def test_scan_config_errors_name_the_json_path(tmp_path, capsys, case):
+    edit, match = _SCAN_CONFIG_ERRORS[case]
+    doc = _scan_doc()
+    edit(doc)
+    out = tmp_path / "o"
+    assert main(["scan", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 1
+    assert f"config error: scan config: {match}\n" in capsys.readouterr().err
+    assert list(out.glob("grid_*.csv")) == []
+
+
 # subcommand: (config, {CSV file pattern: header line})
 _OUTPUTS = {
     "spectrum": (

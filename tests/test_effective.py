@@ -17,6 +17,7 @@ from ptlattice import (
 )
 from ptlattice.effective import (
     EffectiveBlock,
+    _coupling,
     ring_multiband_projection,
     ring_plane_waves,
     threshold_pbc_printed,
@@ -54,6 +55,55 @@ def test_projection_boundary_entry_magnitude():
     out = project_perturbation(vecs, V)
     assert np.max(np.abs(out)) <= 2 * g / L + 1e-12
     assert np.min(np.abs(out)) > 0
+
+
+@pytest.mark.parametrize("L", [10, 41, 100])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5])
+def test_closed_form_coupling_matches_projection(L, phi):
+    # the closed-form plane-wave coupling against the numerical projection:
+    # the pair, the pair against the other L - 2 waves, and a window
+    g, n = 0.6, L // 4
+    ks = 2 * math.pi * np.arange(L) / L
+    V = (
+        PerturbationTerm(1, 1, g * cmath.exp(1j * phi)),
+        PerturbationTerm(L, L, g * cmath.exp(-1j * phi)),
+    )
+    full = project_perturbation(ring_plane_waves(L, ks), V)
+    pair = [n, L - n]
+    window = list(range(n - 2, n + 3))
+    for a, b in ((pair, pair), (pair, np.delete(np.arange(L), pair)), (window, window)):
+        closed = _coupling(L, phi, g, ks[a], ks[b])
+        assert np.max(np.abs(closed - full[np.ix_(a, b)])) < 1e-13
+    block = eff_h_pbc(n=n, L=L, theta=0.1 / L, phi=phi, g=g, t=1.0)
+    assert block.matrix.dtype == np.complex128
+    assert np.max(np.abs(block.reassembled() - block.matrix)) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "L, Phi, phi, above",
+    [
+        (100, 0.3, math.pi / 2, 2.6839482836e-4),
+        (101, 0.6, 1.2, 5.314083043e-4),
+        (40, 0.2, 2.0, 4.473235211e-4),
+    ],
+)
+def test_threshold_is_where_first_order_blocks_break(L, Phi, phi, above):
+    theta = Phi / L
+    g_c = threshold_pbc(L, theta, phi, 1.0)
+
+    def max_im(g):
+        blocks = [eff_h_pbc(n, L, theta, phi, g, 1.0) for n in range(1, (L + 1) // 2)]
+        return max(np.max(np.abs(b.eigenvalues().imag)) for b in blocks)
+
+    assert max_im(0.999 * g_c) == 0.0
+    assert max_im(1.001 * g_c) == pytest.approx(above, rel=1e-6)
+
+
+def test_block_eigenvalues_sorted():
+    block = eff_h_pbc(n=2, L=40, theta=0.001, phi=math.pi / 2, g=0.5, t=1.0)
+    vals = block.eigenvalues()
+    assert list(vals) == sorted(vals, key=lambda e: (e.real, e.imag))
 
 
 def test_eff_h_pbc_unperturbed_eigenvalues():
@@ -122,6 +172,12 @@ def test_eff_h_pbc_warns_when_coupling_exceeds_gap():
         eff_h_pbc(n=2, L=10, theta=0.01, phi=0.5, g=5.0, t=1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eff_h_pbc_gap_warning_reads_the_gap_magnitude():
+    # with t < 0 the gap to the next level is still |2t| |cos(k + theta) - cos(k' + theta)|
+    eff_h_pbc(n=10, L=100, theta=0.003, phi=1.1, g=0.01, t=-1.0)
+
+
 def test_threshold_closed_form_at_phi_half_pi():
     # at phi = pi/2 the discriminant gives g_c = t L sin(theta) exactly
     for L, theta in ((100, 0.005), (60, 0.01)):
@@ -141,6 +197,13 @@ def test_threshold_infinite_for_real_perturbation():
 def test_threshold_rejects_negative_flux():
     with pytest.raises(ValueError):
         threshold_pbc(100, -0.3, math.pi / 2, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold", [threshold_pbc, threshold_pbc_printed])
+def test_threshold_rejects_non_finite_flux(threshold, theta):
+    with pytest.raises(ValueError, match="flux theta must be finite"):
+        threshold(24, theta, math.pi / 2, 1.0)
 
 
 def test_threshold_printed_form_differs():
