@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import _continuum, classify_spectrum
 from .eigen import solve
 from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
-from .nonbloch import characteristic_roots
+from .nonbloch import _dispersion, characteristic_roots
 
 __all__ = [
     "PTWindow",
@@ -63,10 +63,9 @@ class CriterionReport:
 
 
 def band_energy(h: HoppingSet, k: float) -> float:
-    """E(k) = sum_n (t_n e^{ikn} + conj(t_n) e^{-ikn}); real by construction."""
-    return float(
-        sum((t * np.exp(1j * k * n)).real * 2.0 for n, t in h.items())
-    )
+    """E(k), the dispersion E(beta) at beta = e^{ik}; real by construction.
+    A one-element array takes numpy's array path, as the band's callers do."""
+    return float(_dispersion(h, np.exp(1j * np.array([k])))[0].real)
 
 
 def _unimodular_phases(roots) -> np.ndarray:
@@ -87,11 +86,8 @@ def equal_energy_points(h: HoppingSet, epsilon: float) -> list[float]:
     is reported as 0.
     """
     tol = _ENERGY_TOL * (1.0 + abs(epsilon))
-    ks = sorted(
-        float(k)
-        for k in _unimodular_phases(characteristic_roots(h, epsilon).roots)
-        if abs(band_energy(h, k) - epsilon) <= tol
-    )
+    ks = _unimodular_phases(characteristic_roots(h, epsilon).roots)
+    ks = sorted(ks[abs(_dispersion(h, np.exp(1j * ks)).real - epsilon) <= tol].tolist())
     clusters: list[list[float]] = []
     for k in ks:
         if clusters and k - clusters[-1][-1] < _MERGE_TOL:
@@ -114,7 +110,7 @@ def _critical_values(h: HoppingSet) -> list[float]:
     """
     slope = HoppingSet(tuple((n, 1j * n * t) for n, t in h.items()))
     critical_k = _unimodular_phases(characteristic_roots(slope, 0.0).roots)
-    return sorted({round(band_energy(h, k), 12) for k in critical_k})
+    return sorted({round(e, 12) for e in _dispersion(h, np.exp(1j * critical_k)).real.tolist()})
 
 
 def pt_breaking_window(h: HoppingSet) -> PTWindow:

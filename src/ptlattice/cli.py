@@ -192,11 +192,10 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> tuple[str, dict]:
     g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
     ring = _ring_parameters(spec)
     result = unitary_scan({**ring, "g_range": g_range}, resolution)
-    header = ("gamma", "G_plus", "G_minus", "discriminant_negative")
-    _write_table(out / "unitary_scan.csv", header, result.csv_rows())
-
     spectrum, _ = solve(spec, vectors=False)
     worst, worst_ill, ill = _spectrum_audit(spec, spectrum.eigenvalues)
+    header = ("gamma", "G_plus", "G_minus", "discriminant_negative")
+    _write_table(out / "unitary_scan.csv", header, result.csv_rows())
     print(f"broken g/t intervals: {list(result.broken_g_intervals)}")
     print(f"max normalized boundary determinant over spectrum: {worst:.3e}")
     return "nonbloch.json", {

@@ -45,7 +45,8 @@ class HoppingSet:
     """Hermitian bulk hopping amplitudes keyed by range.
 
     A term ``(n, t_n)`` stands for t_n |i><i+n| + conj(t_n) |i+n><i| on every
-    bulk bond; the conjugate partner is implied and never stored.
+    bulk bond; the conjugate partner is implied and never stored.  Every
+    amplitude is finite and nonzero.
     """
 
     terms: tuple[tuple[int, complex], ...]
@@ -53,6 +54,8 @@ class HoppingSet:
     def __post_init__(self):
         seen = set()
         for n, amp in self.terms:
+            if not cmath.isfinite(amp):
+                raise ValueError(f"hopping amplitude of range {n} must be finite, got {amp}")
             if n < 1:
                 raise ValueError(f"hopping range must be >= 1, got {n}")
             if amp == 0:
@@ -85,7 +88,7 @@ class PerturbationTerm:
     """A single matrix element amp |site_i><site_j|, added literally.
 
     Hermitian conjugates are not auto-generated; a non-Hermitian V is built
-    by listing exactly the elements it contains.
+    by listing exactly the elements it contains.  The amplitude is finite.
     """
 
     site_i: int
@@ -94,11 +97,17 @@ class PerturbationTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError(
+                f"perturbation amplitude at ({self.site_i},{self.site_j}) must be finite, "
+                f"got {self.amplitude}"
+            )
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full description of a lattice model."""
+    """Full description of a lattice model; ``flux_theta`` is finite and is
+    stored reduced to [0, 2pi)."""
 
     L: int
     boundary: Boundary
@@ -110,7 +119,10 @@ class ModelSpec:
         M = self.hoppings.max_range
         if self.L <= 2 * M:
             raise ValueError(f"L={self.L} must exceed twice the hopping range M={M}")
-        object.__setattr__(self, "flux_theta", float(self.flux_theta) % TWO_PI)
+        theta = float(self.flux_theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"flux_theta must be finite, got {theta}")
+        object.__setattr__(self, "flux_theta", theta % TWO_PI)
         object.__setattr__(self, "perturbations", tuple(self.perturbations))
         for p in self.perturbations:
             if not (1 <= p.site_i <= self.L and 1 <= p.site_j <= self.L):
@@ -231,18 +243,22 @@ def apply_gauge_transform(spec: ModelSpec) -> ModelSpec:
     theta = spec.flux_theta
     if theta == 0.0:
         return spec
-    L = spec.L
-    wrap_phase = cmath.exp(1j * theta * L)
+    wrap_phase = cmath.exp(1j * theta * spec.L)
     perts = [
         replace(p, amplitude=p.amplitude * cmath.exp(-1j * theta * (p.site_j - p.site_i)))
         for p in spec.perturbations
     ]
-    for n, amp in spec.hoppings.items():
-        for i in range(L - n + 1, L + 1):  # 1-based wrap bonds
-            j = i + n - L
-            perts.append(PerturbationTerm(i, j, amp * (wrap_phase - 1.0)))
-            perts.append(PerturbationTerm(j, i, np.conj(amp) * (np.conj(wrap_phase) - 1.0)))
+    for _, amp, i, j in _closing_bonds(spec):
+        perts.append(PerturbationTerm(i, j, amp * (wrap_phase - 1.0)))
+        perts.append(PerturbationTerm(j, i, np.conj(amp) * (np.conj(wrap_phase) - 1.0)))
     return replace(spec, flux_theta=0.0, perturbations=tuple(perts))
+
+
+def _closing_bonds(spec: ModelSpec) -> list[tuple[int, complex, int, int]]:
+    """(n, t_n, i, j) of each range-n bond i -> j = i + n - L (1-based,
+    i = L-n+1..L) that closes a ring, by range and then by i."""
+    L = spec.L
+    return [(n, t, i, i + n - L) for n, t in spec.hoppings.items() for i in range(L - n + 1, L + 1)]
 
 
 def is_pt_symmetric(spec: ModelSpec, tol: float = 1e-12) -> bool:

@@ -29,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import eigvals
-from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec, apply_gauge_transform
+from .lattice import (
+    TWO_PI,
+    Boundary,
+    HoppingSet,
+    ModelSpec,
+    _closing_bonds,
+    _integer,
+    apply_gauge_transform,
+)
 
 __all__ = [
     "BetaRootSet",
@@ -259,11 +267,12 @@ def boundary_determinant(spec: ModelSpec, beta_set: BetaRootSet) -> BoundaryDete
 def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """(p, C) with row r of the boundary matrix = sum_k C[r, k] beta^p[k, 0]:
     the residual equations at sites 1..M and L-M+1..L, in that order.  Each
-    bond i -> j = i + n - L (i = L-n+1..L) that closes a ring is missing from
-    the bulk equation in row i (-t beta^(i+n)) and row j (-conj(t) beta^(j-n));
-    on a ring it is there: t beta^j in row i, conj(t) beta^i in row j, read
-    through :func:`apply_gauge_transform` (bare bulk t, the flux on closing
-    bonds); an open chain is read as given.  Perturbations follow."""
+    range-n bond i -> j closing a ring (``lattice._closing_bonds``) is
+    missing from the bulk equation in row i (-t beta^(i+n)) and row j
+    (-conj(t) beta^(j-n)); on a ring it is there: t beta^j in row i,
+    conj(t) beta^i in row j, read through :func:`apply_gauge_transform`
+    (bare bulk t, the flux on closing bonds); an open chain is read as
+    given.  Perturbations follow."""
     M = spec.hoppings.max_range
     L = spec.L
     periodic = spec.boundary is Boundary.PERIODIC
@@ -271,12 +280,10 @@ def _boundary_coefficients(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     rows = {s: r for r, s in enumerate([*range(1, M + 1), *range(L - M + 1, L + 1)])}
 
     terms: list[tuple[int, int, complex]] = []  # (row, power, coefficient)
-    for n, t in spec.hoppings.items():
-        for i in range(L - n + 1, L + 1):
-            j = i + n - L
-            terms += [(rows[i], i + n, -t), (rows[j], j - n, -np.conj(t))]
-            if periodic:
-                terms += [(rows[i], j, t), (rows[j], i, np.conj(t))]
+    for n, t, i, j in _closing_bonds(spec):
+        terms += [(rows[i], i + n, -t), (rows[j], j - n, -np.conj(t))]
+        if periodic:
+            terms += [(rows[i], j, t), (rows[j], i, np.conj(t))]
     for p in spec.perturbations:
         if p.site_i not in rows:
             raise ValueError(
@@ -375,7 +382,8 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     eigenstates: crossings of r = G(gamma), gamma in (0, pi), plus
     real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
     the g/t ranges where they are fewer.  ``t`` must be finite and positive,
-    ``g_range`` finite with lo < hi.
+    ``theta`` and ``phi`` finite, ``L`` an integer >= 3 and ``g_range``
+    finite with lo < hi.
 
     Limitation: two circle roots within one gamma cell cancel.  On Hermitian
     rings (phi = 0) with theta L within about 1e-3 of 0 or pi, degenerate
@@ -392,9 +400,14 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     g_lo, g_hi = g_range
     theta = float(params["theta"])
     phi = float(params["phi"])
-    L = int(params["L"])
+    L = _integer(params["L"], "L")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
+    for key, value in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if L < 3:
+        raise ValueError(f"L must be at least 3, got {L}")
     if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
         raise ValueError(f"g_range needs two finite ends with lo < hi, got {[g_lo, g_hi]}")
 

@@ -26,6 +26,19 @@ def _nnn(t2):
     return HoppingSet(terms=((1, 1.0 + 0j), (2, complex(t2))))
 
 
+def test_band_energy_matches_the_cosine_sum():
+    # the band is the dispersion E(beta) at beta = e^{ik}; against the sum
+    # of 2 Re(t_n e^{ikn}) it may differ only by roundoff
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        M = int(rng.integers(1, 4))
+        h = HoppingSet(tuple((n, complex(*rng.normal(size=2))) for n in range(1, M + 1)))
+        tol = 1e-13 * (1.0 + sum(abs(t) for _, t in h.items()))
+        for k in rng.uniform(0.0, 2.0 * math.pi, 9):
+            reference = sum(2.0 * (t * np.exp(1j * k * n)).real for n, t in h.items())
+            assert abs(band_energy(h, float(k)) - reference) <= tol
+
+
 def test_band_energy_examples():
     assert band_energy(NN, 0.0) == pytest.approx(2.0)
     assert band_energy(NN, math.pi) == pytest.approx(-2.0)

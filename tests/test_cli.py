@@ -406,6 +406,19 @@ def test_nonbloch_subcommand(tmp_path, capsys):
     assert sidecar["ill_conditioned"] == 0
 
 
+def test_nonbloch_writes_no_csv_when_the_audit_fails(tmp_path, capsys, monkeypatch):
+    # the scan's CSV is written only once the solve and the audit have succeeded
+    def failing_audit(spec, energies):
+        raise RuntimeError("audit failed")
+
+    monkeypatch.setattr("ptlattice.cli._spectrum_audit", failing_audit)
+    cfg = _write(tmp_path, "n.json", {"model": flux_ring(24, 0.4, 0.8).to_json_dict()})
+    out = tmp_path / "o"
+    assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: audit failed\n"
+    assert list(out.iterdir()) == []
+
+
 def test_nonbloch_audits_a_clean_ring(tmp_path):
     # each eigenstate of a clean ring is one plane wave: one column of the
     # boundary matrix cancels on its own, and the audit must read that as 0
@@ -635,6 +648,38 @@ def test_integer_keys_reject_fractions_bools_and_non_finite(tmp_path, capsys, ca
     err = capsys.readouterr().err
     match = "finite min and max" if math.isnan(value) else f"must be an integer, got {value!r}"
     assert "config error" in err and match in err
+
+
+# subcommand: (config, dotted path of its model)
+_MODEL_DOCS = {
+    "spectrum": (_CHAIN, ""),
+    "criterion": (_CHAIN, ""),
+    "scaling": ({"model": _CHAIN, "sizes": [50, 60, 70]}, "model."),
+    "scan": (_scan_doc(), "base_model."),
+    "nonbloch": ({"model": _RING}, "model."),
+    "effective": ({"model": _RING, "thetas": [0.01]}, "model."),
+}
+# model field: expected message (perturbation 0 sits at (1, 1) in every model)
+_NON_FINITE_FIELDS = {
+    "flux_theta": "flux_theta must be finite",
+    "hoppings.0.re": "hopping amplitude of range 1 must be finite",
+    "perturbations.0.im": "perturbation amplitude at (1,1) must be finite",
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_FIELDS))
+@pytest.mark.parametrize("subcommand", sorted(_MODEL_DOCS))
+def test_non_finite_model_values_exit_1(tmp_path, capsys, subcommand, field, value):
+    # JSON NaN and +-Infinity in a model are config errors on every
+    # subcommand, including those that never read the value
+    doc, prefix = _MODEL_DOCS[subcommand]
+    cfg = _write(tmp_path, "c.json", _with(doc, prefix + field, value))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and _NON_FINITE_FIELDS[field] in err
+    assert list(out.iterdir()) == []
 
 
 def test_integral_float_size_runs(tmp_path):

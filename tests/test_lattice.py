@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from ptlattice import (
     eig,
     is_pt_symmetric,
 )
-from ptlattice.lattice import _matrix_is_pt_symmetric
-from conftest import flux_ring, gain_chain, nnn_chain
+from ptlattice.lattice import _closing_bonds, _matrix_is_pt_symmetric
+from conftest import flux_ring, gain_chain, nnn_chain, random_model
 
 
 def test_two_site_chain():
@@ -106,6 +107,47 @@ def test_hopping_set_validation():
         HoppingSet(terms=((1, 1.0 + 0j), (1, 2.0 + 0j)))
     with pytest.raises(ValueError):
         HoppingSet(terms=((0, 1.0 + 0j),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_values_are_rejected(bad):
+    with pytest.raises(ValueError, match="hopping amplitude of range 2 must be finite"):
+        HoppingSet(terms=((1, 1.0), (2, bad)))
+    with pytest.raises(ValueError, match=r"perturbation amplitude at \(3,1\) must be finite"):
+        PerturbationTerm(3, 1, bad)
+    if isinstance(bad, float):
+        with pytest.raises(ValueError, match="flux_theta must be finite"):
+            ModelSpec(L=8, boundary=Boundary.OPEN, hoppings=HoppingSet(((1, 1.0),)), flux_theta=bad)
+
+
+def _random_rings(count: int) -> list[ModelSpec]:
+    """Periodic random models and flux rings, perturbations removed."""
+    rings = [flux_ring(L, theta, 0.0) for L in (3, 4, 7, 24, 101) for theta in (0.0, 0.3, 2.9)]
+    seeds = iter(range(10**6))
+    while len(rings) < count:
+        spec = random_model(next(seeds))
+        if spec.boundary is Boundary.PERIODIC:
+            rings.append(spec)
+    return [replace(spec, perturbations=()) for spec in rings]
+
+
+def test_closing_bonds_are_the_far_off_diagonal_entries():
+    # L > 2M keeps every bulk bond within M of the diagonal, so the entries
+    # H[i, j] (1-based) with i - j > M are exactly the bonds that close the ring
+    for spec in _random_rings(200):
+        M = spec.max_range
+        assert spec.L > 2 * M
+        closing = _closing_bonds(spec)
+        # listed by range, then by site, each once
+        keys = [(n, a) for n, _, a, _ in closing]
+        assert keys == sorted(set(keys))
+        bonds = sorted((a, b) for _, _, a, b in closing)
+        rows, cols = np.nonzero(build_hamiltonian(spec))
+        far = rows - cols > M
+        assert bonds == sorted(zip((rows[far] + 1).tolist(), (cols[far] + 1).tolist()))
+        # and their conjugates are the entries with j - i > M
+        far = cols - rows > M
+        assert bonds == sorted(zip((cols[far] + 1).tolist(), (rows[far] + 1).tolist()))
 
 
 def test_gauge_transform_identity_at_zero_flux():

@@ -419,6 +419,26 @@ def test_unitary_scan_rejects_bad_g_range(t, g_range, match):
         )
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        pytest.param("theta", math.nan, "theta must be finite, got nan", id="theta_nan"),
+        pytest.param("theta", math.inf, "theta must be finite, got inf", id="theta_inf"),
+        pytest.param("phi", math.nan, "phi must be finite, got nan", id="phi_nan"),
+        pytest.param("phi", -math.inf, "phi must be finite, got -inf", id="phi_-inf"),
+        pytest.param("L", 2.5, "L must be an integer, got 2.5", id="L_fraction"),
+        pytest.param("L", math.inf, "L must be an integer, got inf", id="L_inf"),
+        pytest.param("L", 0, "L must be at least 3, got 0", id="L_0"),
+        pytest.param("L", -3, "L must be at least 3, got -3", id="L_-3"),
+    ],
+)
+def test_unitary_scan_rejects_invalid_ring_values(key, value, match):
+    # NaN theta or phi once read as "never broken", and L = 2.5 as L = 2
+    params = {"t": 1.0, "g_range": (0.0, 1.5), "theta": 0.3, "phi": 1.0, "L": 20, key: value}
+    with pytest.raises(ValueError, match=match):
+        unitary_scan(params, 1000)
+
+
 def test_unitary_scan_grid_shape():
     res = unitary_scan(
         {"t": 1.0, "g_range": (0.0, 1.0), "theta": 0.3, "phi": 1.0, "L": 20}, 1000
