@@ -267,19 +267,23 @@ def bound_states_by_scaling(
 def _continuum(
     spectrum: Spectrum,
     candidates: Sequence[int],
+    vectors: np.ndarray,
     max_range: int,
     scaling_spec: ModelSpec | None = None,
 ) -> list[int]:
     """The continuum rule: ``candidates``, complex indices of a
     classification (all of ``complex_indices`` or a subset of them), minus
-    the bound states among them.  The |c| cut runs on the candidates only;
-    with ``scaling_spec`` the survivors also take the size-doubling test of
-    :func:`bound_states_by_scaling` on that model.  Both tests decide each
-    state on its own, so a subset gives the full result restricted to it."""
+    the bound states among them.  ``vectors`` holds the candidates'
+    eigenvectors as columns, in their order; a spectrum with vectors passes
+    ``spectrum.vector(candidates)``.  The |c| cut runs on the candidates
+    only; with ``scaling_spec`` the survivors also take the size-doubling
+    test of :func:`bound_states_by_scaling` on that model, which reads
+    eigenvalues only.  Both tests decide each state on its own, so a subset
+    gives the full result restricted to it."""
     idx = np.asarray(candidates, dtype=np.intp)
     if idx.size == 0:
         return []
-    c = _localization_constants(spectrum.vector(idx), max_range)
+    c = _localization_constants(vectors, max_range)
     remaining = idx[~(c > C_BOUND_CUT)]
     if scaling_spec is not None and remaining.size:
         bound = bound_states_by_scaling(scaling_spec, spectrum, remaining.tolist())
@@ -298,9 +302,9 @@ def continuous_complex_indices(
     With ``scaling_check`` the fixed-|c| cut is refined by the size-doubling
     test of :func:`bound_states_by_scaling`.
     """
-    cls = classify_spectrum(spectrum, scale)
+    idx = classify_spectrum(spectrum, scale).complex_indices
     return _continuum(
-        spectrum, cls.complex_indices, spec.max_range, spec if scaling_check else None
+        spectrum, idx, spectrum.vector(idx), spec.max_range, spec if scaling_check else None
     )
 
 
@@ -315,7 +319,8 @@ def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int |
     by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
-    allowed = _continuum(spectrum, cls.complex_indices, max_range)
+    idx = cls.complex_indices
+    allowed = _continuum(spectrum, idx, spectrum.vector(idx), max_range)
     if not allowed:
         return None
     values = spectrum.eigenvalues

@@ -53,7 +53,8 @@ class HoppingSet:
 
     def __post_init__(self):
         seen = set()
-        for n, amp in self.terms:
+        terms = tuple((_integer(n, "hopping range"), complex(amp)) for n, amp in self.terms)
+        for n, amp in terms:
             if not cmath.isfinite(amp):
                 raise ValueError(f"hopping amplitude of range {n} must be finite, got {amp}")
             if n < 1:
@@ -63,11 +64,9 @@ class HoppingSet:
             if n in seen:
                 raise ValueError(f"duplicate hopping range {n}")
             seen.add(n)
-        if not self.terms:
+        if not terms:
             raise ValueError("at least one hopping term is required")
-        object.__setattr__(
-            self, "terms", tuple(sorted((int(n), complex(a)) for n, a in self.terms))
-        )
+        object.__setattr__(self, "terms", tuple(sorted(terms)))
 
     @property
     def max_range(self) -> int:
@@ -96,6 +95,8 @@ class PerturbationTerm:
     amplitude: complex
 
     def __post_init__(self):
+        object.__setattr__(self, "site_i", _integer(self.site_i, "perturbation site i"))
+        object.__setattr__(self, "site_j", _integer(self.site_j, "perturbation site j"))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise ValueError(
@@ -116,6 +117,7 @@ class ModelSpec:
     perturbations: tuple[PerturbationTerm, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "L", _integer(self.L, "L"))
         M = self.hoppings.max_range
         if self.L <= 2 * M:
             raise ValueError(f"L={self.L} must exceed twice the hopping range M={M}")
@@ -174,19 +176,14 @@ class ModelSpec:
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
         try:
             hoppings = HoppingSet(
-                tuple(
-                    (_integer(h["range"], "range"), complex(h["re"], h.get("im", 0.0)))
-                    for h in doc["hoppings"]
-                )
+                tuple((h["range"], complex(h["re"], h.get("im", 0.0))) for h in doc["hoppings"])
             )
             perts = tuple(
-                PerturbationTerm(
-                    _integer(p["i"], "i"), _integer(p["j"], "j"), complex(p["re"], p.get("im", 0.0))
-                )
+                PerturbationTerm(p["i"], p["j"], complex(p["re"], p.get("im", 0.0)))
                 for p in doc.get("perturbations", [])
             )
             return cls(
-                L=_integer(doc["L"], "L"),
+                L=doc["L"],
                 boundary=Boundary(doc["boundary"]),
                 hoppings=hoppings,
                 flux_theta=float(doc.get("flux_theta", 0.0)),
@@ -203,12 +200,16 @@ class ModelSpec:
 def _integer(value, name: str = "value") -> int:
     """value as an int: an int, or a float (or numeric string) whose value is
     a finite integer, such as 60.0.  A bool, a fraction or a non-finite
-    number raises ValueError."""
+    number, or a value that is no number at all, raises ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, bool) or not float(value).is_integer():
+    try:
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(float(value))
+    return int(number)
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:

@@ -232,7 +232,8 @@ def _chunk_metrics(
         cls = classify_spectrum(spectrum, scale)
         n_com = cls.n_com
         if continuum:
-            n_com = len(_continuum(spectrum, cls.complex_indices, spec.max_range))
+            idx = cls.complex_indices
+            n_com = len(_continuum(spectrum, idx, spectrum.vector(idx), spec.max_range))
         p_com = n_com / spec.L
         value = (1.0 if p_com > 0 else 0.0) if config.metric is Metric.THRESHOLD_COMPARE else p_com
         metrics.append((value, cls.near_cut))

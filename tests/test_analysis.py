@@ -298,7 +298,7 @@ def test_stacked_fits_match_per_state_polyfit(k):
     assert [row[6] for row in rows] == [int(i in ref_bound) for i in states]
     complex_idx = classify_spectrum(spectrum, scale).complex_indices
     want = [i for i in complex_idx if not ref_c[i] > analysis.C_BOUND_CUT]
-    assert analysis._continuum(spectrum, complex_idx, spec.max_range) == want
+    assert analysis._continuum(spectrum, complex_idx, V[:, complex_idx], spec.max_range) == want
 
     # position measures: each stacked row sums as the per-vector 1-D sum does
     for i in states:

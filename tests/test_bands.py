@@ -8,14 +8,17 @@ from ptlattice import (
     HoppingSet,
     analysis,
     band_energy,
+    bands,
     classify_spectrum,
     criterion_check,
+    eigen,
     equal_energy_points,
     pt_breaking_window,
     solve,
 )
 from ptlattice.analysis import continuous_complex_indices
 from ptlattice.bands import _critical_values
+from ptlattice.eigen import EigensolverError
 from conftest import nnn_chain, random_model
 
 
@@ -233,3 +236,108 @@ def test_criterion_refines_only_out_of_window_candidates(scaling_calls, t2, g):
     report = criterion_check(spec)
     assert scaling_calls == [candidates]
     assert report.violations == ()
+
+
+@pytest.fixture
+def helper_values(monkeypatch):
+    """The eigenvalues handed to the inverse-iteration helper, per call."""
+    calls = []
+    original = bands._inverse_iteration
+
+    def record(H, values, indices, scale):
+        calls.append(np.array(values)[list(indices)])
+        return original(H, values, indices, scale)
+
+    monkeypatch.setattr(bands, "_inverse_iteration", record)
+    return calls
+
+
+def _models_with_few_out_of_window_states():
+    """Models with 1 to 4 complex states outside the widened window, whose
+    report reads their vectors: two chains whose two such states the
+    size-doubling test removes, and seven open random models, five of them
+    with violations."""
+    chains = [nnn_chain(100, 1.0, 0.5, 0.9), nnn_chain(60, 1.0, 0.05, 1.0)]
+    return chains + [random_model(seed) for seed in (8, 15, 19, 39, 61, 66, 124)]
+
+
+def _models_with_many_out_of_window_states():
+    """Three open random models at L = 120 with violations, each with more
+    than 4 complex states outside the widened window."""
+    return [random_model(seed).resized(120) for seed in (1, 4, 8)]
+
+
+def test_criterion_solves_no_eigenvectors_when_inverse_iteration_succeeds(
+    monkeypatch, helper_values
+):
+    flags = []
+    solve_stack = eigen.solve_stack
+
+    def record(specs, vectors=True):
+        flags.append(vectors)
+        return solve_stack(specs, vectors)
+
+    def no_dense_vectors(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called outside the fallback")
+
+    monkeypatch.setattr(eigen, "solve_stack", record)
+    monkeypatch.setattr(np.linalg, "eig", no_dense_vectors)
+    with_violations = 0
+    for spec in _models_with_few_out_of_window_states():
+        with_violations += bool(criterion_check(spec).violations)
+    assert [len(v) for v in helper_values] == [2, 2, 2, 4, 2, 2, 3, 3, 4]
+    assert with_violations == 5
+    assert flags and not any(flags)
+
+
+def test_criterion_falls_back_to_the_dense_solve(monkeypatch):
+    # inverse iteration that raises (eigenvalues it cannot separate, or a
+    # failed residual check) sends the model through the dense vector
+    # solve, which gives the reference
+    failures = []
+
+    def fail(H, values, indices, scale):
+        failures.append(len(indices))
+        raise EigensolverError("residual contract violated")
+
+    monkeypatch.setattr(bands, "_inverse_iteration", fail)
+    with_violations = 0
+    for spec in _models_with_few_out_of_window_states():
+        report = criterion_check(spec)
+        assert report.violations == _reference_violations(spec), spec
+        with_violations += bool(report.violations)
+    assert len(failures) == 9 and with_violations == 5
+
+
+def test_criterion_solves_all_vectors_for_many_out_of_window_states(helper_values):
+    # past 4 such states the dense vector solve costs less than inverse
+    # iteration, so the model is solved again with all vectors
+    for spec in _models_with_many_out_of_window_states():
+        report = criterion_check(spec)
+        assert report.violations and report.violations == _reference_violations(spec), spec
+    assert helper_values == []
+
+
+@pytest.mark.parametrize("t2", [0.05, 0.2, 0.5, 0.8])
+@pytest.mark.parametrize("g", [0.3, 1.0])
+def test_criterion_matches_the_dense_rule_at_L_400(helper_values, t2, g):
+    # at L = 400 the values-only solve and the dense one differ in the last
+    # bits: the window and the violating states are the same, and each
+    # violation energy agrees to 1e-12 ||H||_F.  None of these chains has a
+    # violation, so the states whose vectors the report reads, the complex
+    # ones outside the widened window, are compared too
+    spec = nnn_chain(400, 1.0, t2, g)
+    report = criterion_check(spec)
+    dense, scale = solve(spec)
+    values = dense.eigenvalues
+    read = _out_of_window(spec, values, classify_spectrum(dense, scale).complex_indices)
+    # the dense rule on the states outside the widened window: the report
+    # that all vectors give (the L <= 100 tests above check that these are
+    # the states that matter)
+    reference = analysis._continuum(dense, read, dense.vector(read), spec.max_range, spec)
+    assert report.window == pt_breaking_window(spec.hoppings)
+    assert [v[0] for v in report.violations] == reference
+    for i, re, im in report.violations:
+        assert abs(complex(re, im) - values[i]) <= 1e-12 * scale
+    assert [len(v) for v in helper_values] == [len(read)]
+    np.testing.assert_allclose(helper_values[0], values[read], rtol=0, atol=1e-12 * scale)

@@ -109,6 +109,41 @@ def test_hopping_set_validation():
         HoppingSet(terms=((0, 1.0 + 0j),))
 
 
+_NN = HoppingSet(((1, 1.0),))
+
+# id: (builder, field named in the message, rejected value)
+_NON_INTEGER_CASES = {
+    "range_fraction": (lambda: HoppingSet(((1.5, 1.0),)), "hopping range", 1.5),
+    "second_range_fraction": (lambda: HoppingSet(((1, 1.0), (1.5, 0.5))), "hopping range", 1.5),
+    "range_bool": (lambda: HoppingSet(((True, 1.0),)), "hopping range", True),
+    "range_none": (lambda: HoppingSet(((None, 1.0),)), "hopping range", None),
+    "L_fraction": (lambda: ModelSpec(L=10.5, boundary=Boundary.OPEN, hoppings=_NN), "L", 10.5),
+    "L_inf": (lambda: ModelSpec(L=math.inf, boundary=Boundary.OPEN, hoppings=_NN), "L", math.inf),
+    "site_i_fraction": (lambda: PerturbationTerm(1.5, 1, 0.5j), "perturbation site i", 1.5),
+    "site_j_fraction": (lambda: PerturbationTerm(1, 2.5, 0.5j), "perturbation site j", 2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INTEGER_CASES))
+def test_python_built_models_take_the_integer_checks(case):
+    # the JSON path always made these checks; a model built in Python skipped them
+    build, field, value = _NON_INTEGER_CASES[case]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        build()
+
+
+def test_integral_floats_become_ints_in_python_built_models():
+    h = HoppingSet(((2.0, 0.5), (1, 1.0)))
+    perturbation = PerturbationTerm(1.0, 10.0, 1j)
+    spec = ModelSpec(L=10.0, boundary=Boundary.OPEN, hoppings=h, perturbations=(perturbation,))
+    assert h.terms == ((1, 1.0 + 0j), (2, 0.5 + 0j))
+    assert all(type(n) is int for n, _ in h.terms)
+    assert type(spec.L) is int and spec.L == 10
+    p = spec.perturbations[0]
+    assert (type(p.site_i), type(p.site_j), p.site_i, p.site_j) == (int, int, 1, 10)
+    assert spec == ModelSpec.from_json(spec.to_json())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_non_finite_values_are_rejected(bad):
     with pytest.raises(ValueError, match="hopping amplitude of range 2 must be finite"):
