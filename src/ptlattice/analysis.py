@@ -11,6 +11,12 @@ and the position measures from one pass over its (states x sites)
 weights.  The per-vector functions (:func:`fit_decay_constant`,
 :func:`localization_constant`, :func:`mean_position`,
 :func:`half_asymmetry`) are stacks of one.
+
+The continuum rule, :func:`_continuum`, reads eigenvalues only: a complex
+state is bound when c_beta = L min |ln|beta|| over the characteristic
+roots at its energy (:func:`_c_beta`) exceeds ``C_BOUND_CUT``.
+:func:`detect_bound_states` takes a spectrum without its model, so it
+keeps the eigenvector rule, the half-window |c| against the same cut.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 
 from .eigen import Spectrum, solve
 from .lattice import ModelSpec
+from .nonbloch import _root_stack
 
 __all__ = [
     "SpectrumClassification",
@@ -189,14 +196,25 @@ def fit_decay_constant(
     return c
 
 
-def _localization_constants(V: np.ndarray, max_range: int) -> np.ndarray:
-    """localization_constant of each column of V: all NaN when a
-    half-window is shorter than ``_MIN_FIT_SITES``."""
-    L = V.shape[0]
+def _half_windows(L: int, max_range: int) -> tuple[tuple[int, int], ...] | None:
+    """The two half-chain windows of the |c| fit, 1-based, each at least
+    max(M, 5) sites from the chain's ends and its midpoint; None when one
+    holds fewer than ``_MIN_FIT_SITES`` sites (chains of fewer than about
+    40 sites), where neither bound-state rule gives a verdict."""
     margin = max(max_range, 5)
     half = L // 2
     windows = ((margin + 1, half - margin), (half + margin, L - margin))
     if any(hi - lo + 1 < _MIN_FIT_SITES for lo, hi in windows):
+        return None
+    return windows
+
+
+def _localization_constants(V: np.ndarray, max_range: int) -> np.ndarray:
+    """localization_constant of each column of V: all NaN when
+    :func:`_half_windows` gives none."""
+    L = V.shape[0]
+    windows = _half_windows(L, max_range)
+    if windows is None:
         return np.full(V.shape[1], np.nan)
     left, right = (
         np.abs(_log_slopes(np.maximum(np.abs(V[lo - 1 : hi]), _AMP_FLOOR), lo, L))
@@ -220,7 +238,9 @@ def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
 def detect_bound_states(spectrum: Spectrum, max_range: int = 1) -> list[int]:
     """Indices of states localized with a size-independent decay length:
     those whose half-window |c| exceeds ``C_BOUND_CUT`` (a NaN |c|, on a
-    short chain, is not bound)."""
+    short chain, is not bound).  It reads the eigenvectors: the spectrum
+    comes without its model, whose roots the continuum rule's c_beta
+    needs."""
     return np.flatnonzero(
         _localization_constants(spectrum.vector(slice(None)), max_range) > C_BOUND_CUT
     ).tolist()
@@ -264,29 +284,39 @@ def bound_states_by_scaling(
     return idx[persists].tolist()
 
 
+def _c_beta(spec: ModelSpec, energies: np.ndarray) -> np.ndarray:
+    """c_beta = L min_s |ln|beta_s(E)|| of each energy, over the 2M roots of
+    the model's characteristic polynomial; NaN, like |c|, where
+    :func:`_half_windows` gives none.
+
+    A continuum state has a root beta = e^{i gamma + delta/L}, so c_beta =
+    |delta| stays O(1) as L grows; a bound state's roots all keep
+    |ln|beta|| >= kappa > 0, so its c_beta grows like kappa L (Yokomizo &
+    Murakami, PRL 123, 066404 (2019))."""
+    energies = np.asarray(energies, dtype=np.complex128)
+    if _half_windows(spec.L, spec.max_range) is None:
+        return np.full(energies.shape, np.nan)
+    roots = _root_stack(spec.hoppings, energies)
+    return spec.L * np.abs(np.log(np.abs(roots))).min(axis=1)
+
+
 def _continuum(
-    spectrum: Spectrum,
-    candidates: Sequence[int],
-    vectors: np.ndarray,
-    max_range: int,
-    scaling_spec: ModelSpec | None = None,
+    spec: ModelSpec, spectrum: Spectrum, candidates: Sequence[int], scaling: bool = False
 ) -> list[int]:
     """The continuum rule: ``candidates``, complex indices of a
     classification (all of ``complex_indices`` or a subset of them), minus
-    the bound states among them.  ``vectors`` holds the candidates'
-    eigenvectors as columns, in their order; a spectrum with vectors passes
-    ``spectrum.vector(candidates)``.  The |c| cut runs on the candidates
-    only; with ``scaling_spec`` the survivors also take the size-doubling
-    test of :func:`bound_states_by_scaling` on that model, which reads
-    eigenvalues only.  Both tests decide each state on its own, so a subset
-    gives the full result restricted to it."""
+    the bound states among them, those with :func:`_c_beta` above
+    ``C_BOUND_CUT``.  It reads eigenvalues only.  With ``scaling`` the
+    survivors also take the size-doubling test of
+    :func:`bound_states_by_scaling`.  Both tests decide each state on its
+    own, so a subset gives the full result restricted to it."""
     idx = np.asarray(candidates, dtype=np.intp)
     if idx.size == 0:
         return []
-    c = _localization_constants(vectors, max_range)
+    c = _c_beta(spec, spectrum.eigenvalues[idx])
     remaining = idx[~(c > C_BOUND_CUT)]
-    if scaling_spec is not None and remaining.size:
-        bound = bound_states_by_scaling(scaling_spec, spectrum, remaining.tolist())
+    if scaling and remaining.size:
+        bound = bound_states_by_scaling(spec, spectrum, remaining.tolist())
         remaining = remaining[~np.isin(remaining, bound)]
     return remaining.tolist()
 
@@ -297,21 +327,22 @@ def continuous_complex_indices(
     scale: float,
     scaling_check: bool = False,
 ) -> list[int]:
-    """Complex-eigenvalue indices with bound states removed.
+    """Complex-eigenvalue indices with bound states removed; the spectrum
+    may be values-only.
 
-    With ``scaling_check`` the fixed-|c| cut is refined by the size-doubling
-    test of :func:`bound_states_by_scaling`.
+    A complex state is bound when its c_beta = L min |ln|beta|| over the
+    characteristic roots at its energy exceeds ``C_BOUND_CUT``.  With
+    ``scaling_check`` that cut is refined by the size-doubling test of
+    :func:`bound_states_by_scaling`.
     """
     idx = classify_spectrum(spectrum, scale).complex_indices
-    return _continuum(
-        spectrum, idx, spectrum.vector(idx), spec.max_range, spec if scaling_check else None
-    )
+    return _continuum(spec, spectrum, idx, scaling_check)
 
 
-def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int | None:
+def _select_fit_state(spec: ModelSpec, spectrum: Spectrum, scale: float) -> int | None:
     """State used for the scale-free decay fit: the one at the median
     imaginary part of the full spectrum, provided it is complex and not a
-    bound state.
+    bound state.  It reads eigenvalues only.
 
     The maximal-Im-E state sits closest to bound-state formation and keeps
     size-dependent corrections; the median state is representative of the
@@ -319,8 +350,7 @@ def _select_fit_state(spectrum: Spectrum, scale: float, max_range: int) -> int |
     by Re E, so roundoff cannot choose between mirror partners at +-Re E.
     """
     cls = classify_spectrum(spectrum, scale)
-    idx = cls.complex_indices
-    allowed = _continuum(spectrum, idx, spectrum.vector(idx), max_range)
+    allowed = _continuum(spec, spectrum, cls.complex_indices)
     if not allowed:
         return None
     values = spectrum.eigenvalues
@@ -366,7 +396,7 @@ def fit_scale_free(
     cs, max_ims = [], []
     for spec, window in zip(specs, windows):
         spectrum, scale = solve(spec)
-        pick = _select_fit_state(spectrum, scale, spec.max_range)
+        pick = _select_fit_state(spec, spectrum, scale)
         if pick is None:
             return ScaleFreeFit(
                 sizes=sizes,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _continuum, classify_spectrum
-from .eigen import EigensolverError, _inverse_iteration, solve
-from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec, build_hamiltonian
+from .eigen import solve
+from .lattice import TWO_PI, Boundary, HoppingSet, ModelSpec
 from .nonbloch import _dispersion, characteristic_roots
 
 __all__ = [
@@ -33,11 +33,7 @@ __all__ = [
 _UNIT_TOL = 1e-4  # ||beta| - 1| below which a root is a real momentum
 _ENERGY_TOL = 1e-9  # relative |E(k) - eps| for an equal-energy momentum
 _MERGE_TOL = 1e-3  # momenta closer than this (rad) are one tangency
-# Most out-of-window states whose vectors criterion_check takes by inverse
-# iteration.  Each costs two LU solves, about 8 ms at L = 400 on 2 cores,
-# where the full vector solve costs 40-50 ms more than the values-only one;
-# past this count the dense vector solve is cheaper.
-_INVERSE_ITERATION_STATES = 4
+_CRITICAL_TOL = 1e-12  # critical energies closer than this x bandwidth are one
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,20 @@ def _critical_values(h: HoppingSet) -> list[float]:
     dE/dk is itself the band of the hoppings i*n*t_n, so the critical
     momenta are the unimodular roots of that set's characteristic
     polynomial at zero energy (the degree-2M slope polynomial
-    sum_n n (t_n beta^(M+n) - conj(t_n) beta^(M-n)), times i).
+    sum_n n (t_n beta^(M+n) - conj(t_n) beta^(M-n)), times i).  One
+    critical energy reached at several momenta is evaluated once per
+    momentum, with different roundoff: sorted energies within 1e-12 times
+    the bandwidth of the previous kept one are that one.
     """
     slope = HoppingSet(tuple((n, 1j * n * t) for n, t in h.items()))
     critical_k = _unimodular_phases(characteristic_roots(slope, 0.0).roots)
-    return sorted({round(e, 12) for e in _dispersion(h, np.exp(1j * critical_k)).real.tolist()})
+    energies = np.sort(_dispersion(h, np.exp(1j * critical_k)).real).tolist()
+    tol = _CRITICAL_TOL * (energies[-1] - energies[0])
+    distinct = energies[:1]
+    for e in energies[1:]:
+        if e - distinct[-1] > tol:
+            distinct.append(e)
+    return distinct
 
 
 def pt_breaking_window(h: HoppingSet) -> PTWindow:
@@ -138,48 +143,27 @@ def criterion_check(spec: ModelSpec) -> CriterionReport:
     chain has Re E inside the permitted window (widened by 5*bandwidth/L
     for finite-size shifts).  Bound states are excluded.
 
-    Only the complex states outside the widened window take the continuum
-    rule (the |c| cut, then the size-doubling test on the 2L chain): a state
-    inside it is never a violation, and the rule decides each state on its
-    own, so the report is the one the rule on every complex state gives.
-    The spectrum is solved without eigenvectors.  When at most
-    ``_INVERSE_ITERATION_STATES`` states are outside, their vectors alone
-    come from inverse iteration on H.  With more of them, or when inverse
-    iteration fails (another eigenvalue within the residual tolerance, or a
-    vector that fails its residual check), the model is solved again with
-    all vectors, and that solve decides the report.
+    The spectrum is solved without eigenvectors.  Only the complex states
+    outside the widened window take the continuum rule (the c_beta cut, then
+    the size-doubling test on the 2L chain): a state inside it is never a
+    violation, and the rule decides each state on its own, so the report is
+    the one the rule on every complex state gives.
     """
     if spec.boundary is not Boundary.OPEN:
         raise ValueError("criterion applies to open chains")
     window = pt_breaking_window(spec.hoppings)
     critical_vals = _critical_values(spec.hoppings)
     tol = 5.0 * (critical_vals[-1] - critical_vals[0]) / spec.L
-
-    def outside_window(spectrum, scale) -> list[int]:
-        values = spectrum.eigenvalues
-        return [
-            i
-            for i in classify_spectrum(spectrum, scale).complex_indices
-            if not any(lo - tol <= values[i].real <= hi + tol for lo, hi in window.intervals)
-        ]
-
     spectrum, scale = solve(spec, vectors=False)
-    outside = outside_window(spectrum, scale)
-    vectors = None
-    if len(outside) <= _INVERSE_ITERATION_STATES:
-        try:
-            H = build_hamiltonian(spec)
-            vectors = _inverse_iteration(H, spectrum.eigenvalues, outside, scale)
-        except EigensolverError:
-            pass
-    if vectors is None:
-        spectrum, scale = solve(spec)
-        outside = outside_window(spectrum, scale)
-        vectors = spectrum.vector(outside)
     values = spectrum.eigenvalues
+    outside = [
+        i
+        for i in classify_spectrum(spectrum, scale).complex_indices
+        if not any(lo - tol <= values[i].real <= hi + tol for lo, hi in window.intervals)
+    ]
     violations = tuple(
         (i, float(values[i].real), float(values[i].imag))
-        for i in _continuum(spectrum, outside, vectors, spec.max_range, spec)
+        for i in _continuum(spec, spectrum, outside, scaling=True)
     )
     return CriterionReport(
         window=window,

@@ -25,9 +25,11 @@ generalized ufuncs hold the GIL unless the call's loop is longer than
 pool.  Each member keeps its own sort, normalization and checks and gives
 the bits a call of its own would give.
 
-:func:`_inverse_iteration` gives checked vectors for a few eigenvalues of
-a values-only solve, two shifted linear solves per state, where the full
-vector solve would compute all L of them.
+Eigenvectors are read only by the per-state metrics of ``ptlattice
+spectrum`` (``state_metrics_rows``), the scale-free fit of ``ptlattice
+scaling`` (``fit_scale_free``) and criterion 2's position curves
+(``mean_position_curve``).  Every other solve (sweeps, the criterion, the
+size-doubling test, the non-Bloch audit) is values-only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import functools
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +61,6 @@ RESIDUAL_FACTOR = 1e-8
 TRACE_FACTOR = 100.0
 _SQRT2 = float(np.sqrt(2.0))
 _EPS = float(np.finfo(float).eps)
-_SHIFT_FACTOR = 1e-13  # inverse iteration shifts by E + 1e-13 ||H||_F
 
 # (get, set) thread-count symbols of the ILP64 OpenBLAS that numpy wheels
 # bundle: scipy-openblas in numpy 2.x, openblas64_ in numpy 1.x.
@@ -195,54 +195,6 @@ def eigvals(H: np.ndarray) -> np.ndarray:
             f"> {np.ravel(tol)[k]:.3e}"
         )
     return values
-
-
-def _inverse_iteration(
-    H: np.ndarray, values: np.ndarray, indices: Sequence[int], scale: float
-) -> np.ndarray:
-    """Unit right eigenvectors of H at ``values[indices]``, one column per
-    index, by inverse iteration: from a seeded random start, two steps
-    x <- (H - sigma)^-1 x, each normalized, with sigma = E + 1e-13 ||H||_F.
-    ``values`` is H's whole spectrum, from a values-only solve.
-
-    For the few states that a caller reads after a values-only solve.  One
-    state at a time, H's diagonal is shifted in place (and restored), so no
-    second L x L matrix is kept.  It raises EigensolverError when another
-    eigenvalue lies within the residual tolerance 1e-8 * ``scale`` of a
-    requested one (inverse iteration would return a mix of the two
-    eigenvectors, which passes that check), and when a vector fails
-    :func:`eig`'s residual check against H (a defective eigenvalue, or two
-    steps that do not converge); ``scale`` is ||H||_F.
-    """
-    H = np.ascontiguousarray(H, dtype=np.complex128)
-    values = np.asarray(values, dtype=np.complex128)
-    idx = np.asarray(indices, dtype=np.intp)
-    distance = np.abs(values[None, :] - values[idx, None])
-    distance[np.arange(idx.size), idx] = np.inf
-    near = np.flatnonzero(~(distance.min(axis=1, initial=np.inf) > RESIDUAL_FACTOR * scale))
-    if near.size:
-        raise EigensolverError(
-            f"eigenvalue index {idx[near[0]]} has another eigenvalue within "
-            f"{RESIDUAL_FACTOR:.0e} * scale; inverse iteration cannot separate them"
-        )
-    L = H.shape[0]
-    V = np.empty((L, idx.size), np.complex128)
-    rng = np.random.default_rng(0)
-    diagonal = H.diagonal().copy()
-    try:
-        for k, E in enumerate(values[idx]):
-            np.fill_diagonal(H, diagonal - (E + _SHIFT_FACTOR * scale))
-            x = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            for _ in range(2):
-                x = np.linalg.solve(H, x)
-                x /= np.linalg.norm(x)
-            V[:, k] = x
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"inverse iteration failed: {exc}") from exc
-    finally:
-        np.fill_diagonal(H, diagonal)
-    _checked_residuals(H, values[idx], V, scale)
-    return V
 
 
 def _real_pt_form(H: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:

@@ -11,8 +11,8 @@ only parallelism.
 Points are solved in stacks of ceil(501/L) consecutive points, one
 LAPACK call each: numpy releases the GIL for such a call only when stack
 size * L exceeds 500, and without that the pool threads would take turns.
-Eigenvectors are computed only where the metric reads them: open-chain
-PCom/ThresholdCompare, whose bound-state test needs them.
+Every solve is values-only: the one reader of a spectrum beyond its
+classification, the open-chain continuum rule, reads eigenvalues only.
 """
 
 from __future__ import annotations
@@ -214,26 +214,25 @@ def _stack_size(config: SweepConfig) -> int:
 def _chunk_metrics(
     config: SweepConfig, points: list[tuple[float, float]]
 ) -> list[tuple[float, int]]:
-    """(metric, near_cut) of each (v1, v2) point of one chunk, solved in
-    one stack.  MaxImE is max |Im E|, with near_cut 0 (it does not
-    classify).  PCom counts the complex states, on an open chain only
-    those of the continuum, whose bound-state test is the one reader of
-    eigenvectors; ThresholdCompare is 1 where PCom is positive, else 0."""
+    """(metric, near_cut) of each (v1, v2) point of one chunk, solved
+    values-only in one stack.  MaxImE is max |Im E|, with near_cut 0 (it
+    does not classify).  PCom counts the complex states, on an open chain
+    only those of the continuum; ThresholdCompare is 1 where PCom is
+    positive, else 0."""
     specs = []
     for v1, v2 in points:
         spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
         specs.append(apply_parameter(spec, config.axis2.parameter, v2))
     continuum = config.metric is not Metric.MAX_IM_E and config.base_model.boundary is Boundary.OPEN
     metrics = []
-    for spec, (spectrum, scale) in zip(specs, solve_stack(specs, vectors=continuum)):
+    for spec, (spectrum, scale) in zip(specs, solve_stack(specs, vectors=False)):
         if config.metric is Metric.MAX_IM_E:
             metrics.append((float(np.max(np.abs(spectrum.eigenvalues.imag))), 0))
             continue
         cls = classify_spectrum(spectrum, scale)
         n_com = cls.n_com
         if continuum:
-            idx = cls.complex_indices
-            n_com = len(_continuum(spectrum, idx, spectrum.vector(idx), spec.max_range))
+            n_com = len(_continuum(spec, spectrum, cls.complex_indices))
         p_com = n_com / spec.L
         value = (1.0 if p_com > 0 else 0.0) if config.metric is Metric.THRESHOLD_COMPARE else p_com
         metrics.append((value, cls.near_cut))

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from ptlattice import (
+    Boundary,
+    HoppingSet,
+    ModelSpec,
+    PerturbationTerm,
     build_hamiltonian,
     classify_spectrum,
     detect_bound_states,
@@ -23,6 +27,7 @@ from ptlattice.analysis import (
     localization_constant,
 )
 from ptlattice.eigen import solve
+from ptlattice.nonbloch import _root_stack
 from conftest import flux_ring, gain_chain, nnn_chain, random_model
 
 
@@ -169,8 +174,9 @@ _CONTINUUM_MODELS = (
 
 
 def test_continuum_is_complex_minus_bound_states():
-    # the |c| cut runs on the complex states only; the result must be the
-    # complex indices minus detect_bound_states over all states
+    # the c_beta cut runs on the complex states only; on these chains it
+    # must agree with the eigenvector rule: the complex indices minus
+    # detect_bound_states (the half-window |c| cut) over all states
     seen_bound = 0
     for L, t2, g in _CONTINUUM_MODELS:
         spec = nnn_chain(L, 1.0, t2, g)
@@ -179,8 +185,40 @@ def test_continuum_is_complex_minus_bound_states():
         cls = classify_spectrum(spectrum, scale)
         want = [i for i in cls.complex_indices if i not in bound]
         assert continuous_complex_indices(spec, spectrum, scale) == want, (L, t2, g)
+        # the rule reads eigenvalues only, so a values-only solve gives it too
+        values_only, _ = solve(spec, vectors=False)
+        assert continuous_complex_indices(spec, values_only, scale) == want, (L, t2, g)
         seen_bound += len(set(cls.complex_indices) & bound)
     assert seen_bound > 0  # the cut removed complex states somewhere
+
+
+@pytest.mark.parametrize("L, bound", [(100, 3e-3), (400, 8e-4)])
+def test_c_beta_is_the_scale_free_constant(L, bound):
+    # gain chain, r = g/t = 0.9: the root beta = e^{i gamma + delta/L} of a
+    # scale-free state has, to leading order in 1/L,
+    # delta(gamma) = 1/4 ln[(1 + r^2 + 2r sin gamma) / (1 + r^2 - 2r sin gamma)];
+    # c_beta approaches |delta| like 1/L (median 2.7e-3 at L = 100, 6.6e-4
+    # at L = 400)
+    r = 0.9
+    spec = gain_chain(L, 1.0, r)
+    values = solve(spec, vectors=False)[0].eigenvalues
+    gamma = np.angle(_root_stack(spec.hoppings, values)[:, -1])
+    delta = 0.25 * np.log((1 + r * r + 2 * r * np.sin(gamma)) / (1 + r * r - 2 * r * np.sin(gamma)))
+    assert np.median(np.abs(analysis._c_beta(spec, values) - np.abs(delta))) < bound
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_c_beta_and_c_are_nan_at_the_same_sizes(M):
+    # both bound-state rules read the one short-chain rule: a half-window of
+    # 10 sites exists from L = 40 on (M <= 5), so L = 39 gives no verdict
+    hoppings = HoppingSet(tuple((n, 1.0 / n) for n in range(1, M + 1)))
+    for L, short in ((39, True), (40, False)):
+        spec = ModelSpec(L, Boundary.OPEN, hoppings, 0.0, (PerturbationTerm(1, 1, 1.5j),))
+        spectrum, _ = solve(spec)
+        c_beta = analysis._c_beta(spec, spectrum.eigenvalues)
+        c = analysis._localization_constants(spectrum.eigenvectors, M)
+        assert np.isnan(c_beta).all() == np.isnan(c).all() == short, L
+        assert np.isnan(c_beta).any() == np.isnan(c).any() == short, L
 
 
 @pytest.mark.parametrize("L, g", [(100, 0.3), (100, 1.0), (400, 1.0)])
@@ -208,8 +246,8 @@ def test_fit_state_independent_of_solve(L):
     H = build_hamiltonian(spec)
     site = eig(H)
     real, scale = solve(spec)
-    a = site.eigenvalues[_select_fit_state(site, frobenius_norm(H), spec.max_range)]
-    b = real.eigenvalues[_select_fit_state(real, scale, spec.max_range)]
+    a = site.eigenvalues[_select_fit_state(spec, site, frobenius_norm(H))]
+    b = real.eigenvalues[_select_fit_state(spec, real, scale)]
     assert abs(a - b) < 1e-10
 
 
@@ -296,9 +334,10 @@ def test_stacked_fits_match_per_state_polyfit(k):
     ref_bound = [i for i in states if ref_c[i] > analysis.C_BOUND_CUT]
     assert detect_bound_states(spectrum, spec.max_range) == ref_bound
     assert [row[6] for row in rows] == [int(i in ref_bound) for i in states]
+    # the continuum's c_beta cut agrees with the |c| cut on these models
     complex_idx = classify_spectrum(spectrum, scale).complex_indices
     want = [i for i in complex_idx if not ref_c[i] > analysis.C_BOUND_CUT]
-    assert analysis._continuum(spectrum, complex_idx, V[:, complex_idx], spec.max_range) == want
+    assert analysis._continuum(spec, spectrum, complex_idx) == want
 
     # position measures: each stacked row sums as the per-vector 1-D sum does
     for i in states:

@@ -18,7 +18,6 @@ from ptlattice import (
 )
 from ptlattice.analysis import continuous_complex_indices
 from ptlattice.bands import _critical_values
-from ptlattice.eigen import EigensolverError
 from conftest import nnn_chain, random_model
 
 
@@ -199,6 +198,52 @@ def test_criterion_violations_match_the_rule_on_every_complex_state_random():
     assert with_violations > 50
 
 
+# open random models at their native L = 40 whose report gains one state
+# from the eigenvalue rule: (seed, index, energy).  Each is an extended
+# standing wave whose nodes fall in the half-windows, so the vector fit reads
+# |c| > 10, while its c_beta is below 1
+_GAINED_VIOLATIONS = [
+    (133, 2, -5.0568764804 - 0.0011521709j),
+    (330, 37, 3.6313192436 + 0.0006769007j),
+    (923, 2, -7.5024837127 + 0.0086367415j),
+    (1809, 2, -5.2373472207 + 0.0438617285j),
+    (2856, 2, -3.8908600119 - 0.0004626352j),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, index, energy", _GAINED_VIOLATIONS, ids=[str(v[0]) for v in _GAINED_VIOLATIONS]
+)
+def test_criterion_gains_the_standing_waves_that_the_vector_fit_calls_bound(seed, index, energy):
+    spec = random_model(seed)
+    assert spec.L == 40 and spec.boundary is Boundary.OPEN
+    dense, scale = solve(spec)
+    outside = _out_of_window(
+        spec, dense.eigenvalues, classify_spectrum(dense, scale).complex_indices
+    )
+    # the report of the eigenvector rule: the |c| cut, then size-doubling
+    c = analysis._localization_constants(dense.vector(outside), spec.max_range)
+    kept = [i for i, ci in zip(outside, c) if not ci > analysis.C_BOUND_CUT]
+    by_vectors = set(kept) - set(analysis.bound_states_by_scaling(spec, dense, kept))
+    report = criterion_check(spec)
+    assert [v[0] for v in report.violations] == sorted(by_vectors | {index})
+    assert index not in by_vectors
+    assert abs(dense.eigenvalues[index] - energy) < 1e-9
+    assert analysis._localization_constants(dense.vector([index]), spec.max_range)[0] > 10
+    assert analysis._c_beta(spec, dense.eigenvalues[[index]])[0] < 1
+
+
+def test_critical_values_merge_across_a_rounding_midpoint(monkeypatch):
+    # one critical energy evaluated twice, an ulp either side of a 12-digit
+    # rounding midpoint, is one critical value
+    x = float("0.1234567890125")
+    twins = [np.nextafter(x, 0.0), np.nextafter(x, 1.0)]
+    assert round(twins[0], 12) != round(twins[1], 12)
+    energies = np.array([-3.0, twins[1], 1.0, twins[0]], dtype=complex)
+    monkeypatch.setattr(bands, "_dispersion", lambda h, roots: energies)
+    assert _critical_values(NN) == [-3.0, twins[0], 1.0]
+
+
 @pytest.fixture
 def scaling_calls(monkeypatch):
     """The candidates of every size-doubling test run, in call order."""
@@ -223,14 +268,14 @@ def test_criterion_skips_the_size_doubling_test_inside_the_window(scaling_calls)
 @pytest.mark.parametrize("t2, g", [(0.05, 1.0), (0.5, 0.9)])
 def test_criterion_refines_only_out_of_window_candidates(scaling_calls, t2, g):
     # t2 = 0.05 has an empty window; at t2 = 0.5 the window is (-1.5, -1).
-    # Two complex states lie outside it and pass the |c| cut; only the
+    # Two complex states lie outside it and pass the c_beta cut; only the
     # size-doubling test removes them from the report
     spec = nnn_chain(100, 1.0, t2, g)
     spectrum, scale = solve(spec)
     outside = _out_of_window(
         spec, spectrum.eigenvalues, classify_spectrum(spectrum, scale).complex_indices
     )
-    c = analysis._localization_constants(spectrum.eigenvectors[:, outside], spec.max_range)
+    c = analysis._c_beta(spec, spectrum.eigenvalues[outside])
     candidates = [i for i, ci in zip(outside, c) if not ci > analysis.C_BOUND_CUT]
     assert len(candidates) == 2
     report = criterion_check(spec)
@@ -238,25 +283,11 @@ def test_criterion_refines_only_out_of_window_candidates(scaling_calls, t2, g):
     assert report.violations == ()
 
 
-@pytest.fixture
-def helper_values(monkeypatch):
-    """The eigenvalues handed to the inverse-iteration helper, per call."""
-    calls = []
-    original = bands._inverse_iteration
-
-    def record(H, values, indices, scale):
-        calls.append(np.array(values)[list(indices)])
-        return original(H, values, indices, scale)
-
-    monkeypatch.setattr(bands, "_inverse_iteration", record)
-    return calls
-
-
 def _models_with_few_out_of_window_states():
     """Models with 1 to 4 complex states outside the widened window, whose
-    report reads their vectors: two chains whose two such states the
-    size-doubling test removes, and seven open random models, five of them
-    with violations."""
+    report reads them: two chains whose two such states the size-doubling
+    test removes, and seven open random models, five of them with
+    violations."""
     chains = [nnn_chain(100, 1.0, 0.5, 0.9), nnn_chain(60, 1.0, 0.05, 1.0)]
     return chains + [random_model(seed) for seed in (8, 15, 19, 39, 61, 66, 124)]
 
@@ -267,9 +298,9 @@ def _models_with_many_out_of_window_states():
     return [random_model(seed).resized(120) for seed in (1, 4, 8)]
 
 
-def test_criterion_solves_no_eigenvectors_when_inverse_iteration_succeeds(
-    monkeypatch, helper_values
-):
+def _reports_without_vector_solves(monkeypatch, specs):
+    """The reports of `criterion_check` with the dense eigensolver and every
+    linear solve made to raise; no solve may ask for eigenvectors."""
     flags = []
     solve_stack = eigen.solve_stack
 
@@ -277,67 +308,67 @@ def test_criterion_solves_no_eigenvectors_when_inverse_iteration_succeeds(
         flags.append(vectors)
         return solve_stack(specs, vectors)
 
-    def no_dense_vectors(*args, **kwargs):
-        raise AssertionError("np.linalg.eig called outside the fallback")
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("criterion_check solved for eigenvectors")
 
-    monkeypatch.setattr(eigen, "solve_stack", record)
-    monkeypatch.setattr(np.linalg, "eig", no_dense_vectors)
-    with_violations = 0
-    for spec in _models_with_few_out_of_window_states():
-        with_violations += bool(criterion_check(spec).violations)
-    assert [len(v) for v in helper_values] == [2, 2, 2, 4, 2, 2, 3, 3, 4]
-    assert with_violations == 5
+    with monkeypatch.context() as m:
+        m.setattr(eigen, "solve_stack", record)
+        m.setattr(np.linalg, "eig", no_vectors)
+        m.setattr(np.linalg, "solve", no_vectors)
+        reports = [criterion_check(spec) for spec in specs]
     assert flags and not any(flags)
+    return reports
+
+
+# The next three tests keep the names of the checks of the inverse-iteration
+# path, its dense fallback and its 4-state cap; `criterion_check` now takes
+# one values-only path on the same models, so each checks that path.
+
+
+def test_criterion_solves_no_eigenvectors_when_inverse_iteration_succeeds(monkeypatch):
+    reports = _reports_without_vector_solves(monkeypatch, _models_with_few_out_of_window_states())
+    assert sum(bool(r.violations) for r in reports) == 5
 
 
 def test_criterion_falls_back_to_the_dense_solve(monkeypatch):
-    # inverse iteration that raises (eigenvalues it cannot separate, or a
-    # failed residual check) sends the model through the dense vector
-    # solve, which gives the reference
-    failures = []
-
-    def fail(H, values, indices, scale):
-        failures.append(len(indices))
-        raise EigensolverError("residual contract violated")
-
-    monkeypatch.setattr(bands, "_inverse_iteration", fail)
-    with_violations = 0
-    for spec in _models_with_few_out_of_window_states():
-        report = criterion_check(spec)
-        assert report.violations == _reference_violations(spec), spec
-        with_violations += bool(report.violations)
-    assert len(failures) == 9 and with_violations == 5
+    # the values-only report is the dense reference's, bit for bit
+    specs = _models_with_few_out_of_window_states()
+    references = [_reference_violations(spec) for spec in specs]
+    reports = _reports_without_vector_solves(monkeypatch, specs)
+    assert [r.violations for r in reports] == references
+    assert sum(map(bool, references)) == 5
 
 
-def test_criterion_solves_all_vectors_for_many_out_of_window_states(helper_values):
-    # past 4 such states the dense vector solve costs less than inverse
-    # iteration, so the model is solved again with all vectors
-    for spec in _models_with_many_out_of_window_states():
-        report = criterion_check(spec)
-        assert report.violations and report.violations == _reference_violations(spec), spec
-    assert helper_values == []
+def test_criterion_solves_all_vectors_for_many_out_of_window_states(monkeypatch):
+    # at L = 120 the values-only solve differs from the dense one in the
+    # last bits: the report has the dense reference's states, with energies
+    # within 1e-14 ||H||_F
+    specs = _models_with_many_out_of_window_states()
+    references = [_reference_violations(spec) for spec in specs]
+    scales = [solve(spec, vectors=False)[1] for spec in specs]
+    reports = _reports_without_vector_solves(monkeypatch, specs)
+    assert all(references)
+    for report, reference, scale in zip(reports, references, scales):
+        assert [v[0] for v in report.violations] == [v[0] for v in reference]
+        got, want = (np.array([complex(re, im) for _, re, im in v]) for v in (report.violations, reference))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("t2", [0.05, 0.2, 0.5, 0.8])
 @pytest.mark.parametrize("g", [0.3, 1.0])
-def test_criterion_matches_the_dense_rule_at_L_400(helper_values, t2, g):
+def test_criterion_matches_the_dense_rule_at_L_400(t2, g):
     # at L = 400 the values-only solve and the dense one differ in the last
     # bits: the window and the violating states are the same, and each
-    # violation energy agrees to 1e-12 ||H||_F.  None of these chains has a
-    # violation, so the states whose vectors the report reads, the complex
-    # ones outside the widened window, are compared too
+    # violation energy agrees to 1e-12 ||H||_F
     spec = nnn_chain(400, 1.0, t2, g)
     report = criterion_check(spec)
     dense, scale = solve(spec)
     values = dense.eigenvalues
     read = _out_of_window(spec, values, classify_spectrum(dense, scale).complex_indices)
-    # the dense rule on the states outside the widened window: the report
-    # that all vectors give (the L <= 100 tests above check that these are
-    # the states that matter)
-    reference = analysis._continuum(dense, read, dense.vector(read), spec.max_range, spec)
+    # the rule on the dense solve's states outside the widened window (the
+    # L <= 100 tests above check that these are the states that matter)
+    reference = analysis._continuum(spec, dense, read, scaling=True)
     assert report.window == pt_breaking_window(spec.hoppings)
     assert [v[0] for v in report.violations] == reference
     for i, re, im in report.violations:
         assert abs(complex(re, im) - values[i]) <= 1e-12 * scale
-    assert [len(v) for v in helper_values] == [len(read)]
-    np.testing.assert_allclose(helper_values[0], values[read], rtol=0, atol=1e-12 * scale)

@@ -7,9 +7,7 @@ from ptlattice import (
     Boundary,
     HoppingSet,
     ModelSpec,
-    analysis,
     build_hamiltonian,
-    classify_spectrum,
     eig,
     eigen,
     frobenius_norm,
@@ -18,7 +16,6 @@ from ptlattice.eigen import (
     RESIDUAL_FACTOR,
     EigensolverError,
     _checked_matrix,
-    _inverse_iteration,
     _real_pt_form,
     eigvals,
     solve,
@@ -345,92 +342,3 @@ def test_solve_names_a_vector_that_breaks_the_residual_contract(spec, monkeypatc
     monkeypatch.setattr(eigen, "_sorted_pairs", one_wrong_vector)
     with pytest.raises(EigensolverError, match=r"residual contract violated: .* at eigenvalue index 7$"):
         solve(spec)
-
-
-def _inverse_iteration_against_dense(spec, cap=None):
-    """The inverse-iteration vectors of the complex states of a values-only
-    solve (at most about ``cap`` of them, evenly spaced) against the dense
-    vectors: residuals, norms and the half-window |c|.  Returns how many
-    states had a dense |c| within twice the bound-state cut, and how many
-    above it."""
-    values, scale = solve(spec, vectors=False)
-    dense, _ = solve(spec)
-    idx = list(classify_spectrum(values, scale).complex_indices)
-    if cap is not None:
-        idx = idx[:: max(1, -(-len(idx) // cap))]
-    E = values.eigenvalues[idx]
-    np.testing.assert_allclose(E, dense.eigenvalues[idx], rtol=0, atol=1e-12 * scale)
-    H = build_hamiltonian(spec)
-    shifted = H.copy()
-    V = _inverse_iteration(shifted, values.eigenvalues, idx, scale)
-    assert np.array_equal(shifted, H)  # the diagonal shifts are undone
-    residuals = np.linalg.norm(H @ V - V * E, axis=0)
-    assert np.all(residuals <= RESIDUAL_FACTOR * scale)
-    np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
-    c = analysis._localization_constants(V, spec.max_range)
-    ref = analysis._localization_constants(dense.vector(idx), spec.max_range)
-    # the bound-state verdict agrees on every state; |c| agrees to 1e-8 up to
-    # twice the cut.  Beyond that the fit reads a bound state's deep tail,
-    # whose amplitudes are roundoff in the dense vectors too
-    cut = analysis.C_BOUND_CUT
-    assert np.array_equal(c > cut, ref > cut)
-    resolved = ref <= 2 * cut
-    np.testing.assert_allclose(c[resolved], ref[resolved], rtol=0, atol=1e-8)
-    return int(resolved.sum()), int((~resolved).sum())
-
-
-@pytest.mark.parametrize("L", [60, 100, 400])
-@pytest.mark.parametrize("g", [0.3, 1.0])
-def test_inverse_iteration_matches_the_dense_vectors_nnn(L, g):
-    resolved, _ = _inverse_iteration_against_dense(nnn_chain(L, 1.0, 0.5, g), cap=12)
-    assert resolved > 0
-
-
-def test_inverse_iteration_matches_the_dense_vectors_random():
-    opens = [m for m in map(random_model, range(300)) if m.boundary is Boundary.OPEN][:50]
-    assert len(opens) == 50
-    counts = np.array([_inverse_iteration_against_dense(m.resized(120), cap=8) for m in opens])
-    resolved, deep = counts.sum(axis=0)
-    # states whose |c| is compared and deep bound states both occur
-    assert resolved > 100 and deep > 0
-
-
-def test_inverse_iteration_checks_its_vectors():
-    spec = nnn_chain(60, 1.0, 0.5, 1.0)
-    H = build_hamiltonian(spec)
-    scale = frobenius_norm(H)
-    E = solve(spec, vectors=False)[0].eigenvalues
-    assert _inverse_iteration(H, E, [], scale).shape == (60, 0)
-    # a value more than 1e-3 from every eigenvalue has no eigenvector there:
-    # the residual check fails
-    off = E.copy()
-    off[11] = 0.5 * (E[10] + E[11]) + 0.01j
-    assert np.min(np.abs(np.delete(off, 11) - off[11])) > 1e-3
-    with pytest.raises(EigensolverError, match="at eigenvalue index 1$"):
-        _inverse_iteration(H, off, [0, 11], scale)
-    assert np.array_equal(H, build_hamiltonian(spec))  # restored on failure too
-
-
-@pytest.mark.parametrize("split", [0.0, 0.5, 100.0])
-def test_inverse_iteration_refuses_eigenvalues_it_cannot_separate(split):
-    # two uncoupled copies of a chain, the second shifted by split * 1e-8
-    # ||H||_F: each eigenvalue has a partner that far away.  Within the
-    # residual tolerance inverse iteration would return a mix of the two
-    # vectors, which passes the residual check, so it refuses; beyond it the
-    # vector lies in one copy
-    H1 = build_hamiltonian(nnn_chain(30, 1.0, 0.5, 1.0))
-    scale = frobenius_norm(np.kron(np.eye(2), H1))
-    shift = split * RESIDUAL_FACTOR * scale
-    H = np.zeros((60, 60), complex)
-    H[:30, :30] = H1
-    H[30:, 30:] = H1 + shift * np.eye(30)
-    E1 = eigvals(H1)
-    values = np.concatenate([E1, E1 + shift])
-    k = int(np.argmax(E1.imag))
-    assert E1[k].imag > 0.1
-    if split < 1:
-        with pytest.raises(EigensolverError, match=f"eigenvalue index {k} has another"):
-            _inverse_iteration(H, values, [k], scale)
-    else:
-        (v,) = _inverse_iteration(H, values, [k], scale).T
-        assert np.linalg.norm(v[30:]) < 1e-12

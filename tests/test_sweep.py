@@ -365,7 +365,9 @@ def test_values_only_sweep_matches_per_point_solve(pt, metric, threads):
 
 @pytest.mark.parametrize("metric", ["PCom", "ThresholdCompare"])
 def test_open_chain_sweep_counts_continuum(metric):
-    # each point: complex eigenvalues minus detect_bound_states over all states
+    # each point: complex eigenvalues minus detect_bound_states over all
+    # states, the eigenvector rule, which agrees with the sweep's c_beta cut
+    # on these chains
     config = SweepConfig(
         base_model=nnn_chain(40, 1.0, 0.5, 0.5),
         axis1=AxisSpec("t2", 0.05, 0.6, 3),
@@ -373,7 +375,7 @@ def test_open_chain_sweep_counts_continuum(metric):
         metric=Metric(metric),
     )
     grid = run_sweep(config, threads=2)
-    assert grid.provenance["stack"] == 13  # the 15 vector solves make chunks of 13 and 2
+    assert grid.provenance["stack"] == 13  # the 15 solves make chunks of 13 and 2
     for i, v1 in enumerate(config.axis1.values):
         for j, v2 in enumerate(config.axis2.values):
             spec = apply_parameter(config.base_model, "t2", v1)
@@ -398,9 +400,9 @@ def test_stack_size():
         assert stack(100, metric) == stack(100, metric, chain=True) == 6
 
 
-def test_sweep_solves_vectors_only_for_the_open_chain_continuum(monkeypatch):
-    # the bound-state test is the one reader of eigenvectors, and only
-    # open-chain PCom and ThresholdCompare run it
+def test_sweep_solves_no_eigenvectors(monkeypatch):
+    # the open-chain continuum rule of PCom and ThresholdCompare reads
+    # eigenvalues only, so no chunk asks for vectors
     flags = []
 
     def record(specs, vectors=True):
@@ -413,8 +415,7 @@ def test_sweep_solves_vectors_only_for_the_open_chain_continuum(monkeypatch):
         for metric in Metric:
             flags.clear()
             run_sweep(SweepConfig(base, *axes, metric), threads=1)
-            open_continuum = base.boundary is Boundary.OPEN and metric is not Metric.MAX_IM_E
-            assert flags == [open_continuum], (base.boundary, metric)
+            assert flags == [False], (base.boundary, metric)
 
 
 def test_sweep_near_cut_points(monkeypatch, tmp_path):
