@@ -461,13 +461,17 @@ STATE_METRICS_COLUMNS = (
 
 def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[tuple]:
     """Per-state metric rows for CSV export, one tuple per state in the
-    order of :data:`STATE_METRICS_COLUMNS`."""
+    order of :data:`STATE_METRICS_COLUMNS`.  ``c_fit`` is NaN where a window
+    amplitude is at most eps max |psi|: one rounding unit, no correct digit."""
     V = spectrum.vector(slice(None))
     window = default_fit_window(spec.L, spec.max_range)
     try:
         c_fit = _decay_constants(V, window, spec.max_range)
     except ValueError:
         c_fit = np.full(spectrum.dimension, np.nan)
+    else:
+        amps, eps = np.abs(V), np.finfo(float).eps
+        c_fit[amps[window[0] - 1 : window[1]].min(axis=0) <= eps * amps.max(axis=0)] = np.nan
     bound = np.zeros(spectrum.dimension, dtype=int)
     bound[detect_bound_states(spectrum, spec.max_range)] = 1
     values = spectrum.eigenvalues

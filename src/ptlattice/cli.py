@@ -3,7 +3,8 @@
 Every capability is a subcommand taking a JSON config and writing CSV/JSON
 outputs into a directory; each ``_cmd_*`` returns its sidecar's name and
 fields, and ``main`` writes it with the shared config, overrides and version.
-Exit codes: 0 success, 1 config error, 2 numerical failure.
+Exit codes: 0 success, 1 config error (a ValueError, which names the dotted
+path of a bad config value), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .analysis import (
 )
 from .bands import criterion_check
 from .eigen import EigensolverError, solve
-from .lattice import ModelSpec, _integer
+from .lattice import ModelSpec, _field, _integer, _items, _number
 from .nonbloch import _ring_parameters, _spectrum_audit, unitary_scan
 from .sweep import (
     Metric,
@@ -44,29 +45,12 @@ from .effective import threshold_pbc, threshold_pbc_printed
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    """Invalid configuration; message names the offending JSON path."""
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument errors are config errors (exit 1), not argparse's exit 2,
     which is the code of a numerical failure."""
 
     def error(self, message: str):
-        raise ConfigError(message)
-
-
-def _read(doc: dict, key: str, convert, default, what: str):
-    """convert(doc.get(key, default)); a rejected value is a config error naming key."""
-    try:
-        return convert(doc.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be {what} ({exc})") from exc
-
-
-def _numbers(doc: dict, key: str, kind, default=None) -> list:
-    """doc[key] (or default when absent) as a list of kind."""
-    return _read(doc, key, lambda xs: [kind(x) for x in xs], default, "a list of numbers")
+        raise ValueError(message)
 
 
 def _or_no_onset(onset: float | None) -> float | str:
@@ -76,7 +60,7 @@ def _or_no_onset(onset: float | None) -> float | str:
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form K=V")
+            raise ValueError(f"override {item!r} is not of the form K=V")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
@@ -86,7 +70,7 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             if not isinstance(target.get(part), dict):
-                raise ConfigError(f"override path {key!r}: {part!r} is not an object")
+                raise ValueError(f"override path {key!r}: {part!r} is not an object")
             target = target[part]
         target[parts[-1]] = value
     return doc
@@ -96,20 +80,12 @@ def _load_config(path: str, overrides: list[str]) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"config file {path}: cannot read it ({exc})") from exc
+        raise ValueError(f"config file {path}: cannot read it ({exc})") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path}: top level must be an object")
+        raise ValueError(f"config file {path}: top level must be an object")
     return _apply_overrides(doc, overrides)
-
-
-def _model_from(doc: dict, path: str = "") -> ModelSpec:
-    try:
-        return ModelSpec.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        where = path or "<root>"
-        raise ConfigError(f"config path {where}: {exc}") from exc
 
 
 def _model_config(doc: dict, command: str, *keys: str) -> ModelSpec:
@@ -117,12 +93,12 @@ def _model_config(doc: dict, command: str, *keys: str) -> ModelSpec:
     keys = ("model", *keys)
     if any(key not in doc for key in keys):
         noun = "key" if len(keys) == 1 else "keys"
-        raise ConfigError(f"{command} config needs {noun} {' and '.join(map(repr, keys))}")
-    return _model_from(doc["model"], "model")
+        raise ValueError(f"{command} config needs {noun} {' and '.join(map(repr, keys))}")
+    return ModelSpec.from_json_dict(doc["model"], "model")
 
 
 def _cmd_spectrum(doc: dict, out: Path, args) -> tuple[str, dict]:
-    spec = _model_from(doc)
+    spec = ModelSpec.from_json_dict(doc)
     spectrum, scale = solve(spec)
     cls = classify_spectrum(spectrum, scale, args.tol_imag)
     _write_table(out / "spectrum.csv", STATE_METRICS_COLUMNS, state_metrics_rows(spec, spectrum))
@@ -137,10 +113,7 @@ def _cmd_spectrum(doc: dict, out: Path, args) -> tuple[str, dict]:
 
 
 def _cmd_scan(doc: dict, out: Path, args) -> tuple[str, dict]:
-    try:
-        config = SweepConfig.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"scan config: {exc}") from exc
+    config = SweepConfig.from_json_dict(doc)
     grid = run_sweep(config, threads=args.threads, cache_dir=out)
     key = config_hash(config)
     onsets, uncertain = [], []
@@ -156,7 +129,7 @@ def _cmd_scan(doc: dict, out: Path, args) -> tuple[str, dict]:
 
 def _cmd_scaling(doc: dict, out: Path, args) -> tuple[str, dict]:
     base = _model_config(doc, "scaling", "sizes")
-    sizes = _numbers(doc, "sizes", _integer)
+    sizes = _items(doc, "sizes", _integer)
 
     fit = fit_scale_free(base.resized, sizes)
     _write_table(out / "scaling.csv", ("L", "c"), zip(fit.sizes, fit.c_estimates))
@@ -174,7 +147,7 @@ def _cmd_scaling(doc: dict, out: Path, args) -> tuple[str, dict]:
 
 
 def _cmd_criterion(doc: dict, out: Path, args) -> tuple[str, dict]:
-    spec = _model_from(doc)
+    spec = ModelSpec.from_json_dict(doc)
     report = criterion_check(spec)
     (out / "criterion.json").write_text(report.to_json() + "\n")
     window = ", ".join(f"({lo:.6g}, {hi:.6g})" for lo, hi in report.window.intervals)
@@ -188,8 +161,8 @@ def _cmd_criterion(doc: dict, out: Path, args) -> tuple[str, dict]:
 
 def _cmd_nonbloch(doc: dict, out: Path, args) -> tuple[str, dict]:
     spec = _model_config(doc, "nonbloch")
-    resolution = _read(doc, "gamma_resolution", _integer, 2000, "an integer")
-    g_range = _numbers(doc, "g_range", float, [0.0, 2.0])
+    resolution = _field(doc, "gamma_resolution", _integer, 2000)
+    g_range = _field(doc, "g_range", default=(0.0, 2.0))
     ring = _ring_parameters(spec)
     result = unitary_scan({**ring, "g_range": g_range}, resolution)
     spectrum, _ = solve(spec, vectors=False)
@@ -211,10 +184,10 @@ def _cmd_effective(doc: dict, out: Path, args) -> tuple[str, dict]:
     base = _model_config(doc, "effective", "thetas")
     for key in ("t", "phi"):
         if key in doc:
-            raise ConfigError(
+            raise ValueError(
                 f"effective config key {key!r} is not accepted: t and phi come from the model"
             )
-    thetas = _numbers(doc, "thetas", float)
+    thetas = _items(doc, "thetas", _number)
     ring = _ring_parameters(base)
     t, phi = ring["t"], ring["phi"]
     rows = []
@@ -278,17 +251,17 @@ def main(argv: list[str] | None = None) -> int:
         for flag, reader in _FLAG_READERS.items():
             if getattr(args, flag) is not None and args.subcommand != reader:
                 option = "--" + flag.replace("_", "-")
-                raise ConfigError(f"{option} is read only by {reader}, not by {args.subcommand}")
+                raise ValueError(f"{option} is read only by {reader}, not by {args.subcommand}")
         doc = _load_config(args.config, args.override)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"output directory {out}: cannot create it ({exc})") from exc
+            raise ValueError(f"output directory {out}: cannot create it ({exc})") from exc
         name, fields = _COMMANDS[args.subcommand](doc, out, args)
         envelope = {"config": doc, "overrides": args.override, "version": __version__}
         _write_json(out / name, {**fields, **envelope})
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (EigensolverError, RuntimeError) as exc:

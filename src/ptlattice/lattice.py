@@ -10,6 +10,7 @@ exp(-i*theta).  A hop of range n picks up exp(i*n*theta) with the same
 orientation, so the total flux through the ring is Phi = L*theta.  An open
 chain carries no flux in any layer: ``flux_theta`` is read on rings only.
 The non-Bloch oracle reads a ring through :func:`apply_gauge_transform`.
+Every config value is read by :func:`_field`, whose errors name dotted paths.
 """
 
 from __future__ import annotations
@@ -173,43 +174,77 @@ class ModelSpec:
         return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelSpec":
-        try:
-            hoppings = HoppingSet(
-                tuple((h["range"], complex(h["re"], h.get("im", 0.0))) for h in doc["hoppings"])
-            )
-            perts = tuple(
-                PerturbationTerm(p["i"], p["j"], complex(p["re"], p.get("im", 0.0)))
-                for p in doc.get("perturbations", [])
-            )
-            return cls(
-                L=doc["L"],
-                boundary=Boundary(doc["boundary"]),
-                hoppings=hoppings,
-                flux_theta=float(doc.get("flux_theta", 0.0)),
-                perturbations=perts,
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing model config field: {exc}") from exc
+    def from_json_dict(cls, doc: dict, path: str = "") -> "ModelSpec":
+        """The model in doc, at dotted path ``path``: "", model or base_model."""
+        at = f"{path}." if path else ""
+
+        def term(entry, where: str, *ints: str) -> tuple:
+            """The values of the entry's integer keys ints, then its amplitude re + i im."""
+            values = [_field(entry, f"{where}.{key}", _integer) for key in ints]
+            re = _field(entry, f"{where}.re", _number)
+            return (*values, complex(re, _field(entry, f"{where}.im", _number, 0.0)))
+
+        hops = enumerate(_items(doc, f"{at}hoppings"))
+        perts = enumerate(_items(doc, f"{at}perturbations", default=()))
+        return cls(
+            L=_field(doc, f"{at}L", _integer),
+            boundary=_field(doc, f"{at}boundary", Boundary),
+            hoppings=HoppingSet(tuple(term(h, f"{at}hoppings.{n}", "range") for n, h in hops)),
+            flux_theta=_field(doc, f"{at}flux_theta", _number, 0.0),
+            perturbations=tuple(
+                PerturbationTerm(*term(p, f"{at}perturbations.{n}", "i", "j")) for n, p in perts
+            ),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
         return cls.from_json_dict(json.loads(text))
 
 
-def _integer(value, name: str = "value") -> int:
-    """value as an int: an int, or a float (or numeric string) whose value is
-    a finite integer, such as 60.0.  A bool, a fraction or a non-finite
-    number, or a value that is no number at all, raises ValueError."""
+def _field(doc, path: str, convert=lambda value: value, default=None):
+    """convert(doc[key]), key the last part of the dotted JSON path ``path``:
+    the one config reader.  A doc that is not an object, a missing key with no
+    default (None) or a value convert rejects raises ValueError naming ``path``."""
+    parent, _, key = path.rpartition(".")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{parent or 'config'} must be an object, got {doc!r}")
+    if key not in doc and default is None:
+        raise ValueError(f"{path} is missing")
+    try:
+        return convert(doc.get(key, default))
+    except ValueError as exc:
+        raise ValueError(f"{path} {exc}") from exc
+
+
+def _items(doc, path: str, convert=lambda value: value, default=None) -> list:
+    """The list at ``path``, each entry read by :func:`_field` as ``<path>.<index>``."""
+    entries = _field(doc, path, default=default)
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{path} must be a list, got {entries!r}")
+    return [_field({str(n): x}, f"{path}.{n}", convert) for n, x in enumerate(entries)]
+
+
+def _number(value) -> float:
+    """value as a float (NaN and infinities included), but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"must be a number, got {value!r}")
+
+
+def _integer(value, name: str = "") -> int:
+    """value as an int: an int, or a :func:`_number` whose value is a finite
+    integer, such as 60.0; anything else raises ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     try:
-        number = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+        if (number := _number(value)).is_integer():
+            return int(number)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:

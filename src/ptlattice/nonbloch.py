@@ -35,7 +35,10 @@ from .lattice import (
     HoppingSet,
     ModelSpec,
     _closing_bonds,
+    _field,
     _integer,
+    _items,
+    _number,
     apply_gauge_transform,
 )
 
@@ -383,7 +386,7 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
     the g/t ranges where they are fewer.  ``t`` must be finite and positive,
     ``theta`` and ``phi`` finite, ``L`` an integer >= 3 and ``g_range``
-    finite with lo < hi.
+    finite with lo < hi; each is read by ``lattice._field``.
 
     Limitation: two circle roots within one gamma cell cancel.  On Hermitian
     rings (phi = 0) with theta L within about 1e-3 of 0 or pi, degenerate
@@ -393,14 +396,14 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
-    t = float(params["t"])
-    g_range = [float(x) for x in params["g_range"]]
-    if len(g_range) != 2:
-        raise ValueError(f"g_range needs two numbers, got {len(g_range)}")
+    t = _field(params, "t", _number)
+    g_range = _items(params, "g_range", _number)
+    if not (len(g_range) == 2 and all(map(math.isfinite, g_range)) and g_range[0] < g_range[1]):
+        raise ValueError(f"g_range needs two finite numbers, lo < hi, got {g_range}")
     g_lo, g_hi = g_range
-    theta = float(params["theta"])
-    phi = float(params["phi"])
-    L = _integer(params["L"], "L")
+    theta = _field(params, "theta", _number)
+    phi = _field(params, "phi", _number)
+    L = _field(params, "L", _integer)
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
     for key, value in (("theta", theta), ("phi", phi)):
@@ -408,8 +411,6 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
             raise ValueError(f"{key} must be finite, got {value}")
     if L < 3:
         raise ValueError(f"L must be at least 3, got {L}")
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo < g_hi):
-        raise ValueError(f"g_range needs two finite ends with lo < hi, got {[g_lo, g_hi]}")
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
     _, (A, B, C) = _ring_terms(gamma, L, math.cos(theta * L))

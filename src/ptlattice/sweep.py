@@ -13,6 +13,7 @@ LAPACK call each: numpy releases the GIL for such a call only when stack
 size * L exceeds 500, and without that the pool threads would take turns.
 Every solve is values-only: the one reader of a spectrum beyond its
 classification, the open-chain continuum rule, reads eigenvalues only.
+Config values are read by ``lattice._field``, so errors name ``axis1.min``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .analysis import _continuum, classify_spectrum
 from .eigen import EigensolverError, _single_threaded_blas, solve, solve_stack
-from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _integer
+from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _field, _integer, _number
 
 __all__ = [
     "Metric",
@@ -54,21 +55,6 @@ class Metric(enum.Enum):
     PCOM = "PCom"
     MAX_IM_E = "MaxImE"
     THRESHOLD_COMPARE = "ThresholdCompare"
-
-
-def _field(doc, path: str, convert=lambda value: value):
-    """convert(doc[key]), key the last part of the dotted JSON path; a
-    missing key, a doc that is not an object or a rejected value raises
-    ValueError naming the path."""
-    parent, _, key = path.rpartition(".")
-    if not isinstance(doc, dict):
-        raise ValueError(f"{parent or 'config'!r} must be an object, got {doc!r}")
-    if key not in doc:
-        raise ValueError(f"missing field {path!r}")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {path!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -105,9 +91,9 @@ class AxisSpec:
     def from_json_dict(cls, d: dict, path: str = "axis") -> "AxisSpec":
         """The axis in d, whose JSON path ``path`` prefixes error messages."""
         return cls(
-            parameter=_field(d, f"{path}.parameter", str),
-            min=_field(d, f"{path}.min", float),
-            max=_field(d, f"{path}.max", float),
+            parameter=_field(d, f"{path}.parameter"),
+            min=_field(d, f"{path}.min", _number),
+            max=_field(d, f"{path}.max", _number),
             steps=_field(d, f"{path}.steps", _integer),
         )
 
@@ -137,7 +123,7 @@ class SweepConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepConfig":
         return cls(
-            base_model=_field(d, "base_model", ModelSpec.from_json_dict),
+            base_model=ModelSpec.from_json_dict(_field(d, "base_model"), "base_model"),
             axis1=AxisSpec.from_json_dict(_field(d, "axis1"), "axis1"),
             axis2=AxisSpec.from_json_dict(_field(d, "axis2"), "axis2"),
             metric=_field(d, "metric", Metric),

@@ -300,7 +300,9 @@ def _reference_c_fit(v, spec):
     if not (1 <= lo < hi <= L) or hi - lo + 1 < 10 or lo <= margin or hi > L - margin:
         return math.nan
     amps = np.abs(v[lo - 1 : hi])
-    return math.nan if np.any(amps == 0) else _polyfit_c(amps, lo, L)
+    # a zero, or any amplitude within one rounding unit of max |v|, gives NaN
+    floor = np.finfo(float).eps * np.max(np.abs(v))
+    return math.nan if np.min(amps) <= floor else _polyfit_c(amps, lo, L)
 
 
 # seeded random chains and rings as drawn (L <= 40: short-chain NaN |c|) and
@@ -364,6 +366,19 @@ def test_stacked_fit_nan_patterns():
     assert np.isnan(analysis._localization_constants(spectrum.eigenvectors, 2)).all()
     assert detect_bound_states(spectrum, 2) == []
     assert math.isnan(localization_constant(spectrum.vector(0), 2))
+
+
+def test_c_fit_is_nan_at_the_roundoff_floor():
+    # the window of this bound pair sits at 1.3e-17 max |psi|: its c_fit was
+    # +-1.29 from the dense vectors and -23.0 from an inverse-iteration vector
+    spec = nnn_chain(400, 1.0, 0.05, 1.5)
+    spectrum, _ = solve(spec)
+    rows = analysis.state_metrics_rows(spec, spectrum)
+    nan = [row[0] for row in rows if math.isnan(row[5])]
+    assert nan == [row[0] for row in rows if row[6]] and len(nan) == 2
+    # fit_decay_constant keeps fitting such a vector
+    window = default_fit_window(spec.L, spec.max_range)
+    assert math.isfinite(fit_decay_constant(spectrum.vector(nan[0]), window, spec.max_range))
 
 
 def test_per_vector_fits_are_stacks_of_one():

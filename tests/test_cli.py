@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,7 @@ from ptlattice import Boundary, ModelSpec
 from ptlattice.analysis import default_fit_window
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError
+from ptlattice.nonbloch import unitary_scan
 from ptlattice.sweep import SweepConfig, config_hash, run_sweep
 from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
 
@@ -126,7 +128,7 @@ def test_number_list_keys_reject_scalars(tmp_path, capsys, subcommand, doc, key)
     cfg = _write(tmp_path, "c.json", doc)
     out = tmp_path / "o"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
-    assert f"config key '{key}'" in capsys.readouterr().err
+    assert f"config error: {key} must be a list, got " in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -136,7 +138,7 @@ def test_gamma_resolution_must_be_a_number(tmp_path, capsys, value):
     cfg = _write(tmp_path, "n.json", doc)
     out = tmp_path / "o"
     assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 1
-    assert "config key 'gamma_resolution'" in capsys.readouterr().err
+    assert "config error: gamma_resolution must be an integer, got " in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -493,15 +495,12 @@ def test_effective_rejects_non_finite_theta(tmp_path, capsys, literal, via):
 
 # case: (edit of _scan_doc(), expected message)
 _SCAN_CONFIG_ERRORS = {
-    "no_metric": (lambda d: d.pop("metric"), "missing field 'metric'"),
-    "no_axis2": (lambda d: d.pop("axis2"), "missing field 'axis2'"),
-    "no_base_model": (lambda d: d.pop("base_model"), "missing field 'base_model'"),
-    "no_axis1_steps": (lambda d: d["axis1"].pop("steps"), "missing field 'axis1.steps'"),
-    "axis1_min_string": (
-        lambda d: d["axis1"].update(min="a"),
-        "field 'axis1.min': could not convert string to float: 'a'",
-    ),
-    "axis1_number": (lambda d: d.update(axis1=5), "'axis1' must be an object, got 5"),
+    "no_metric": (lambda d: d.pop("metric"), "metric is missing"),
+    "no_axis2": (lambda d: d.pop("axis2"), "axis2 is missing"),
+    "no_base_model": (lambda d: d.pop("base_model"), "base_model is missing"),
+    "no_axis1_steps": (lambda d: d["axis1"].pop("steps"), "axis1.steps is missing"),
+    "axis1_min_string": (lambda d: d["axis1"].update(min="a"), "axis1.min must be a number, got 'a'"),
+    "axis1_number": (lambda d: d.update(axis1=5), "axis1 must be an object, got 5"),
 }
 
 
@@ -512,7 +511,7 @@ def test_scan_config_errors_name_the_json_path(tmp_path, capsys, case):
     edit(doc)
     out = tmp_path / "o"
     assert main(["scan", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 1
-    assert f"config error: scan config: {match}\n" in capsys.readouterr().err
+    assert f"config error: {match}\n" in capsys.readouterr().err
     assert list(out.glob("grid_*.csv")) == []
 
 
@@ -611,14 +610,21 @@ def test_file_errors_exit_1(tmp_path, capsys, model_config, where):
     assert "config error" in capsys.readouterr().err
 
 
+_DELETE = object()
+
+
 def _with(doc: dict, path: str, value) -> dict:
-    """A copy of doc with the value at a dotted path (list indices as numbers) replaced."""
+    """A copy of doc with the value at a dotted path (list indices as numbers)
+    replaced, or removed when value is _DELETE."""
     doc = json.loads(json.dumps(doc))
     *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
     return doc
 
 
@@ -679,6 +685,81 @@ def test_non_finite_model_values_exit_1(tmp_path, capsys, subcommand, field, val
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and _NON_FINITE_FIELDS[field] in err
+    assert list(out.iterdir()) == []
+
+
+def _model_cases(reader, prefix):
+    # a missing key, null, the wrong container, a non-object entry, a bool for a number
+    edits = [("L", _DELETE), ("perturbations.0.im", None), ("hoppings", {"range": 1}),
+             ("hoppings.0", 1), ("hoppings.0.re", True), ("flux_theta", False)]
+    doc = {"": _CHAIN, "model.": {"model": _RING}, "base_model.": _scan_doc()}[prefix]
+    return [(reader, doc, prefix + path, value) for path, value in edits]
+
+
+_UNITARY_PARAMS = {"t": 1.0, "g_range": [0.0, 1.5], "theta": 0.3, "phi": 1.0, "L": 20}
+
+
+def _unitary_scan(params):
+    return unitary_scan(params, 1000)
+
+
+_SCALING = {"model": _CHAIN, "sizes": [50, 60, 70]}
+_EFFECTIVE = {"model": _RING, "thetas": [0.01]}
+# (reader: a subcommand, or a Python call; valid config; dotted path; value or _DELETE)
+_READER_CASES = [
+    *_model_cases("spectrum", ""),
+    *_model_cases("nonbloch", "model."),
+    *_model_cases("scan", "base_model."),
+    *_model_cases(ModelSpec.from_json_dict, ""),
+    ("scan", _scan_doc(), "axis1.steps", _DELETE),
+    ("scan", _scan_doc(), "axis2.min", None),
+    ("scan", _scan_doc(), "axis1", [0.0, 1.0]),
+    ("scan", _scan_doc(), "axis1.max", True),
+    ("scan", _scan_doc(), "axis2.steps", True),
+    ("nonbloch", {"model": _RING}, "gamma_resolution", None),
+    ("nonbloch", {"model": _RING}, "gamma_resolution", [2000]),
+    ("nonbloch", {"model": _RING}, "gamma_resolution", True),
+    ("nonbloch", {"model": _RING}, "g_range", None),
+    ("nonbloch", {"model": _RING}, "g_range", {"lo": 0.0, "hi": 1.5}),
+    ("nonbloch", {"model": _RING, "g_range": [0.0, 1.5]}, "g_range.1", True),
+    ("scaling", _SCALING, "sizes", _DELETE),
+    ("scaling", _SCALING, "sizes", None),
+    ("scaling", _SCALING, "sizes", 50),
+    ("scaling", _SCALING, "sizes.1", True),
+    ("effective", _EFFECTIVE, "thetas", _DELETE),
+    ("effective", _EFFECTIVE, "thetas", None),
+    ("effective", _EFFECTIVE, "thetas", {"theta": 0.01}),
+    ("effective", _EFFECTIVE, "thetas.0", False),
+    (_unitary_scan, _UNITARY_PARAMS, "t", _DELETE),
+    (_unitary_scan, _UNITARY_PARAMS, "phi", None),
+    (_unitary_scan, _UNITARY_PARAMS, "g_range", 1.5),
+    (_unitary_scan, _UNITARY_PARAMS, "g_range.0", True),
+    (_unitary_scan, _UNITARY_PARAMS, "theta", True),
+    (_unitary_scan, _UNITARY_PARAMS, "L", True),
+]
+
+
+def _reader_id(case) -> str:
+    reader, _, path, value = case
+    name = reader if isinstance(reader, str) else reader.__qualname__.lstrip("_")
+    return f"{name}-{path}-{'missing' if value is _DELETE else json.dumps(value)}"
+
+
+@pytest.mark.parametrize("case", _READER_CASES, ids=map(_reader_id, _READER_CASES))
+def test_every_config_reader_names_the_dotted_path(tmp_path, capsys, case):
+    # each JSON value is read by lattice._field: a bad one exits 1 from the CLI
+    # and raises ValueError (never TypeError or KeyError) from the Python API
+    reader, doc, path, value = case
+    doc = _with(doc, path, value)
+    if callable(reader):
+        with pytest.raises(ValueError, match=f"^{re.escape(path)} "):
+            reader(doc)
+        return
+    out = tmp_path / "o"
+    assert main([reader, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    # a missing required subcommand key keeps _model_config's message
+    assert err.startswith(f"config error: {path} ") or f"needs keys 'model' and '{path}'" in err
     assert list(out.iterdir()) == []
 
 
