@@ -58,6 +58,9 @@ def _or_no_onset(onset: float | None) -> float | str:
 
 
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
+    """Each K=V sets the value V (JSON, or else the string) at the dotted
+    path K, which walks objects by key and lists by index as config errors
+    name them (``hoppings.0.re``)."""
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form K=V")
@@ -68,11 +71,22 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
             value = raw
         target = doc
         parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(target.get(part), dict):
-                raise ValueError(f"override path {key!r}: {part!r} is not an object")
-            target = target[part]
-        target[parts[-1]] = value
+        for n, part in enumerate(parts):
+            if isinstance(target, list):
+                if not (part.isdecimal() and int(part) < len(target)):
+                    raise ValueError(
+                        f"override path {key!r}: {'.'.join(parts[: n + 1])!r} is not "
+                        f"an entry of a list of {len(target)}"
+                    )
+                part = int(part)
+            elif not isinstance(target, dict):
+                raise ValueError(
+                    f"override path {key!r}: {'.'.join(parts[:n])!r} is not an object or a list"
+                )
+            if n + 1 == len(parts):
+                target[part] = value
+            else:
+                target = target[part] if isinstance(target, list) else target.get(part)
     return doc
 
 

@@ -64,6 +64,16 @@ _TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
 # off the spectrum of 1000 random models the ratio stays above 1.2e-3
 _ONE_ROOT_TOL = 1e-6
 _N_G = 501  # g/t grid of the broken-interval count
+# g/t points counted together (see _broken_intervals): each block costs a
+# few passes over every sample, and a longer one keeps more samples live
+_BLOCK = 32
+# (g/t, sample) cells of D evaluated at once: a bounded array lets a dense
+# block reuse the memory of the last one instead of growing the heap
+_CELLS = 2**14
+# bound on |D| below which roundoff could flip the float sign of D =
+# r^2 A - 2 r cos(phi) B + C: twice its error of at most 2 eps per unit of
+# r^2 |A| + 2 |r cos(phi) B| + |C|, with a factor 2 to spare
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -391,8 +401,8 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     Limitation: two circle roots within one gamma cell cancel.  On Hermitian
     rings (phi = 0) with theta L within about 1e-3 of 0 or pi, degenerate
     pairs near the band centre split that little, and spurious intervals
-    appear: 13 at L = 24 (15 at theta L = pi), 18-21 at L = 40 and 34-35 at
-    L = 100; none at theta L = 0.05.
+    appear: 13 at L = 24 and 25 (15 and 17 at theta L = pi), 18-21 at
+    L = 40 and 34-35 at L = 100; none at theta L = 0.05.
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
@@ -452,10 +462,14 @@ def _ring_terms(gamma: np.ndarray, L: int, cos_theta_L: float):
     return re, im
 
 
-def _quadratic(curve, r: float, cos_phi: float) -> np.ndarray:
-    """r^2 A - 2 r cos(phi) B + C on one (A, B, C) curve."""
+def _quadratic(curve, r, cos_phi: float) -> np.ndarray:
+    """r^2 A - 2 r cos(phi) B + C on one (A, B, C) curve, elementwise; r may
+    be a scalar or an array that broadcasts against the curve.  r^2 is one
+    rounded product, so a scalar r and the same r in an array give the same
+    bits (pow(r, 2) differs from r * r in the last bit for about 0.1 % of
+    doubles)."""
     a, b, c = curve
-    return r**2 * a - 2.0 * r * cos_phi * b + c
+    return r * r * a - 2.0 * r * cos_phi * b + c
 
 
 def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
@@ -499,14 +513,88 @@ def _crossings(curve, r: float, phi: float) -> int:
     return int(np.count_nonzero(_sign_changes(_quadratic(curve, r, math.cos(phi)))))
 
 
+def _real_state_counts(curves, rs: np.ndarray, phi: float) -> np.ndarray:
+    """sum(_crossings(q, r, phi) for q in curves) at every r of the
+    ascending grid ``rs``, counted block by block as
+    :func:`_broken_intervals` states the rule."""
+    cos_phi = math.cos(phi)
+    r_max = max(abs(rs[0]), abs(rs[-1]))
+    counts = np.zeros(len(rs), dtype=np.intp)
+    for curve in curves:
+        a, b, c = curve
+        bound = _ROUNDING * (r_max * r_max * abs(a) + 2.0 * r_max * abs(cos_phi * b) + abs(c))
+
+        def sure_sign(d: np.ndarray) -> np.ndarray:
+            """+-1 where the sign of D is sure, 0 where roundoff could flip it."""
+            return (d > bound).view(np.int8) - (d < -bound).view(np.int8)
+
+        def signs_and_count(r: float) -> tuple[np.ndarray, int]:
+            d = _quadratic(curve, r, cos_phi)
+            return sure_sign(d), np.count_nonzero(_sign_changes(d))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = cos_phi * b / a  # not finite where A = 0: never inside a range
+            at_vertex = sure_sign(_quadratic(curve, vertex, cos_phi))
+        first_sign, first_count = signs_and_count(rs[0])
+        for start in range(0, len(rs), _BLOCK):
+            block = rs[start : start + _BLOCK]
+            r_end = rs[min(start + _BLOCK, len(rs) - 1)]
+            end_sign, end_count = signs_and_count(r_end)
+            inside = (vertex > block[0]) & (vertex < r_end)
+            fixed = (first_sign != 0) & (end_sign == first_sign)
+            fixed &= ~inside | (at_vertex == first_sign)
+            live = ~fixed
+            keep = live.copy()
+            keep[1:] |= live[:-1]
+            keep[:-1] |= live[1:]
+            k = np.flatnonzero(keep)
+            kept = (a[k], b[k], c[k])
+            on_k = np.empty(len(block), dtype=np.intp)
+            rows = max(1, _CELLS // max(len(k), 1))
+            for lo in range(0, len(block), rows):
+                d = _quadratic(kept, block[lo : lo + rows, None], cos_phi)
+                # a row without zeros changes sign where d > 0 changes
+                positive = d > 0
+                on_k[lo : lo + rows] = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
+                for row in np.flatnonzero((d == 0).any(axis=1)):
+                    on_k[lo + row] = np.count_nonzero(_sign_changes(d[row]))
+            counts[start : start + len(block)] += on_k + (first_count - on_k[0])
+            first_sign, first_count = end_sign, end_count
+    return counts
+
+
 def _broken_intervals(
     theta: float, phi: float, L: int, lo: float, hi: float, n_gamma: int
 ) -> tuple[tuple[float, float], ...]:
     """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
-    real eigenstates, counted by :func:`_crossings`."""
+    real eigenstates: sign changes of D along every curve of
+    :func:`_ring_quadratics`, as :func:`_crossings` counts them at each r,
+    but counted for every r at once by :func:`_real_state_counts`.
+
+    The grid is cut into blocks of _BLOCK consecutive r; a block's range
+    reaches to the next block's first r (the grid's last r for the last
+    block).  Fixed samples: in a block, a sample is fixed when D has one
+    sign, with |D| above the rounding bound _ROUNDING (r_max^2 |A|
+    + 2 r_max |cos(phi) B| + |C|), r_max = max |r|, at both ends of the
+    range and at the vertex cos(phi) B / A when it lies between them.  A
+    quadratic takes its extremes on an interval there, so no root of D lies
+    in the range and D has that float sign at every grid r of the block.  A
+    run of fixed samples, between two samples of K or at a curve's end, then
+    adds the same sign changes at every r, so the count at r is the count on
+    K (the live samples and their +-1 neighbours) plus one constant per
+    block: the full curve's count minus K's, at the block's first r.  K is
+    evaluated through :func:`_quadratic` with r as a column, as (r, sample)
+    arrays of at most _CELLS cells: the whole block at once unless K is
+    large.
+
+    Zero skips: exact zeros are skipped as :func:`_sign_changes` skips them,
+    so a root on a sample counts once and a touch not at all.  A fixed
+    sample is never zero, and a row of K with a zero goes through that
+    function.
+    """
     rs = np.linspace(lo, hi, _N_G)
     curves = _ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
-    broken = [sum(_crossings(q, r, phi) for q in curves) < L for r in rs]
+    broken = _real_state_counts(curves, rs, phi) < L
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
     return tuple(

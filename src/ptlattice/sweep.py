@@ -57,6 +57,13 @@ class Metric(enum.Enum):
     THRESHOLD_COMPARE = "ThresholdCompare"
 
 
+def _parameter_path(value) -> str:
+    """value, when it is one of PARAMETER_PATHS."""
+    if value not in PARAMETER_PATHS:
+        raise ValueError(f"must be one of {PARAMETER_PATHS}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     parameter: str
@@ -65,11 +72,7 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self):
-        if self.parameter not in PARAMETER_PATHS:
-            raise ValueError(
-                f"unknown parameter path {self.parameter!r}; "
-                f"expected one of {PARAMETER_PATHS}"
-            )
+        _field(vars(self), "parameter", _parameter_path)
         if self.steps < 2:
             raise ValueError("axis needs at least 2 steps")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
@@ -91,7 +94,7 @@ class AxisSpec:
     def from_json_dict(cls, d: dict, path: str = "axis") -> "AxisSpec":
         """The axis in d, whose JSON path ``path`` prefixes error messages."""
         return cls(
-            parameter=_field(d, f"{path}.parameter"),
+            parameter=_field(d, f"{path}.parameter", _parameter_path),
             min=_field(d, f"{path}.min", _number),
             max=_field(d, f"{path}.max", _number),
             steps=_field(d, f"{path}.steps", _integer),

@@ -16,7 +16,7 @@ from ptlattice.analysis import default_fit_window
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError
 from ptlattice.nonbloch import unitary_scan
-from ptlattice.sweep import SweepConfig, config_hash, run_sweep
+from ptlattice.sweep import PARAMETER_PATHS, SweepConfig, config_hash, run_sweep
 from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
 
 
@@ -171,7 +171,7 @@ def _config(doc):
     "subcommand, make_config, match",
     [
         ("spectrum", _not_json, "invalid JSON"),
-        ("scan", _bad_axis_scan, "unknown parameter path 'bogus'"),
+        ("scan", _bad_axis_scan, "axis1.parameter must be one of ('flux_theta', 'g', 'phi', 't2'), got 'bogus'"),
         ("spectrum", _config([gain_chain(50).to_json_dict()]), ": top level must be an object\n"),
         (
             "scaling",
@@ -270,6 +270,58 @@ def test_override_into_a_non_object_exits_1(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["scan", "--config", cfg, "--out", str(out), "--override", "metric.x=1"]) == 1
     assert "'metric' is not an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ring_doc(**model_edits) -> dict:
+    return {"model": {**flux_ring(24, 0.4, 0.8).to_json_dict(), **model_edits}}
+
+
+def test_override_into_a_top_level_list_entry(tmp_path):
+    cfg = _write(tmp_path, "m.json", gain_chain(50, g=0.5).to_json_dict())
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--override", "hoppings.0.re=2.0"]) == 0
+    sidecar = json.loads((out / "spectrum.json").read_text())
+    assert sidecar["config"]["hoppings"][0]["re"] == 2.0
+    assert sidecar["overrides"] == ["hoppings.0.re=2.0"]
+
+
+def test_override_into_a_list_entry(tmp_path):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.json", _ring_doc())
+    assert main(["nonbloch", "--config", cfg, "--out", str(out), "--override", "model.hoppings.0.re=1.5"]) == 0
+    sidecar = json.loads((out / "nonbloch.json").read_text())
+    assert sidecar["config"]["model"]["hoppings"] == [{"range": 1, "re": 1.5, "im": 0.0}]
+
+
+def test_override_takes_the_path_of_a_config_error(tmp_path, capsys):
+    # the dotted path a config error names can be pasted into --override
+    bad = _ring_doc()
+    bad["model"]["hoppings"][0]["range"] = True
+    cfg = _write(tmp_path, "c.json", bad)
+    assert main(["nonbloch", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    message = capsys.readouterr().err
+    path = "model.hoppings.0.range"
+    assert f"config error: {path} must be an integer, got True\n" in message
+    assert main(["nonbloch", "--config", cfg, "--out", str(tmp_path / "b"), "--override", f"{path}=1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "override, match",
+    [
+        ("model.hoppings.1.re=2", "'model.hoppings.1' is not an entry of a list of 1"),
+        ("model.hoppings.-1.re=2", "'model.hoppings.-1' is not an entry of a list of 1"),
+        ("model.hoppings.re=2", "'model.hoppings.re' is not an entry of a list of 1"),
+        ("model.hoppings.0.re.x=2", "'model.hoppings.0.re' is not an object or a list"),
+        ("model.perturbations.2=5", "'model.perturbations.2' is not an entry of a list of 2"),
+    ],
+)
+def test_override_outside_a_list_exits_1(tmp_path, capsys, override, match):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.json", _ring_doc())
+    assert main(["nonbloch", "--config", cfg, "--out", str(out), "--override", override]) == 1
+    key = override.split("=")[0]
+    assert f"config error: override path {key!r}: {match}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -501,6 +553,14 @@ _SCAN_CONFIG_ERRORS = {
     "no_axis1_steps": (lambda d: d["axis1"].pop("steps"), "axis1.steps is missing"),
     "axis1_min_string": (lambda d: d["axis1"].update(min="a"), "axis1.min must be a number, got 'a'"),
     "axis1_number": (lambda d: d.update(axis1=5), "axis1 must be an object, got 5"),
+    "axis1_parameter_bogus": (
+        lambda d: d["axis1"].update(parameter="bogus"),
+        f"axis1.parameter must be one of {PARAMETER_PATHS}, got 'bogus'",
+    ),
+    "axis2_parameter_null": (
+        lambda d: d["axis2"].update(parameter=None),
+        f"axis2.parameter must be one of {PARAMETER_PATHS}, got None",
+    ),
 }
 
 

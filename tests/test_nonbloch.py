@@ -447,6 +447,106 @@ def test_unitary_scan_grid_shape():
     assert len(res.discriminant_negative) == len(res.gamma_grid)
 
 
+@pytest.mark.parametrize("L, want", [(100, ((1.302, 1.5),)), (400, ((0.609, 1.5),))])
+def test_unitary_scan_on_the_benchmark_rings(L, want):
+    # the two rings of perfbench's ring_theory workload, pinned exactly
+    ring = nonbloch._ring_parameters(flux_ring(L, 0.3, 0.8))
+    assert unitary_scan({**ring, "g_range": (0.0, 1.5)}, 2000).broken_g_intervals == want
+
+
+def test_unitary_scan_keeps_the_documented_spurious_intervals():
+    # the limitation in unitary_scan's docstring: a clean ring at theta = 0
+    params = {"t": 1.0, "g_range": (0.0, 2.0), "theta": 0.0, "phi": 0.0, "L": 25}
+    assert len(unitary_scan(params, 2000).broken_g_intervals) == 13
+
+
+def _assert_blocked_count(curves, rs, phi):
+    """The blocked count equals the per-r loop it replaced, at every r."""
+    from ptlattice.nonbloch import _crossings
+
+    want = [sum(_crossings(q, r, phi) for q in curves) for r in rs]
+    assert nonbloch._real_state_counts(curves, rs, phi).tolist() == want
+
+
+def _assert_ring_count(theta, phi, L, lo, hi, gamma_resolution=2000):
+    rs = np.linspace(lo, hi, nonbloch._N_G)
+    n_gamma = max(gamma_resolution, 50 * L)
+    curves = nonbloch._ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
+    _assert_blocked_count(curves, rs, phi)
+
+
+_HERMITIAN_THETA_L = (0.0, 1e-3, math.pi - 1e-3, math.pi, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "theta, phi, L, lo, hi",
+    [
+        pytest.param(0.3, math.pi / 2, 100, 0.0, 1.5, id="ring_theory_L100"),
+        pytest.param(0.3, math.pi / 2, 400, 0.0, 1.5, id="ring_theory_L400"),
+        *(
+            pytest.param(theta_L / L, 0.0, L, 0.0, 2.0, id=f"hermitian_L{L}_thetaL{theta_L:.4g}")
+            for L in (25, 40)
+            for theta_L in _HERMITIAN_THETA_L
+        ),
+        pytest.param(0.3, math.pi / 4, 40, -1.5, 0.5, id="negative_lo"),
+        pytest.param(0.5, math.pi, 41, -2.0, -0.5, id="negative_range"),
+    ],
+)
+def test_blocked_count_on_rings(theta, phi, L, lo, hi):
+    _assert_ring_count(theta, phi, L, lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_blocked_count_on_random_rings(seed):
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(3, 151))
+    theta, phi = rng.uniform(-math.pi, math.pi, size=2)
+    lo = rng.uniform(-2.0, 1.5)
+    _assert_ring_count(theta, phi, L, lo, lo + rng.uniform(0.05, 2.5), 1000)
+
+
+def _synthetic_curves(kind, rs, rng):
+    """(A, B, C) curves whose D = r^2 A - 2 r cos(phi) B + C (phi = 0 or
+    pi) hits exact zeros, double roots or poles."""
+    n = 200
+    on_grid = rs[rng.integers(0, len(rs), n)]
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind == "constant_zeros":  # D = C at every r, zero on many samples
+        c = rng.integers(-2, 3, n).astype(float)
+        return [(np.zeros(n), np.zeros(n), c)]
+    if kind == "zeros_on_grid":  # D = +-(r^2 - r_j^2): exactly 0 at r = +-r_j
+        return [(sign, np.zeros(n), -sign * (on_grid * on_grid))]
+    if kind == "double_roots":  # D = +-(r - r0)^2, r0 on and off the grid
+        r0 = np.where(rng.random(n) < 0.5, on_grid, rng.uniform(rs[0], rs[-1], n))
+        return [(sign, sign * r0, sign * (r0 * r0))]
+    if kind == "near_double_roots":  # r0 and C a few ulps off: roundoff flips D
+        eps = np.finfo(float).eps
+        r0 = on_grid * (1.0 + rng.integers(-4, 5, n) * eps)
+        return [(sign, sign * r0, sign * (r0 * r0 * (1.0 + rng.integers(-3, 4, n) * eps)))]
+    if kind == "poles":  # A = 0 on half the samples: D linear there
+        a = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+        b = rng.normal(size=n)
+        return [(a, b, 2.0 * on_grid * b - a * on_grid * on_grid)]
+    # small integers: exact zeros wherever r is a multiple of 1/2
+    return [tuple(rng.integers(-2, 3, (3, n)).astype(float)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("cells", [nonbloch._CELLS, 50], ids=["cells", "small_cells"])
+@pytest.mark.parametrize("phi", [0.0, math.pi])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "kind",
+    ["constant_zeros", "zeros_on_grid", "double_roots", "near_double_roots", "poles", "integers"],
+)
+def test_blocked_count_on_synthetic_curves(kind, seed, phi, cells, monkeypatch):
+    # 50 cells split every block's (r, sample) array into several
+    monkeypatch.setattr(nonbloch, "_CELLS", cells)
+    rng = np.random.default_rng(seed)
+    # 81 points on [-2, 2]: 0, +-1/2, +-1, ... lie on the grid
+    rs = np.linspace(-2.0, 2.0, 81)
+    _assert_blocked_count(_synthetic_curves(kind, rs, rng), rs, phi)
+
+
 def test_sign_change_roots_zero_on_a_sample():
     from ptlattice.nonbloch import _sign_change_roots
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from dataclasses import replace as dc_replace
 
@@ -120,6 +121,13 @@ def test_apply_parameter_needs_a_perturbation(path):
     spec = dc_replace(flux_ring(10, 0.2, 0.5), perturbations=())
     with pytest.raises(ValueError, match=f"parameter '{path}'"):
         apply_parameter(spec, path, 1.0)
+
+
+@pytest.mark.parametrize("parameter", ["bogus", None])
+def test_axis_rejects_an_unknown_parameter(parameter):
+    match = re.escape(f"parameter must be one of {sweep.PARAMETER_PATHS}, got {parameter!r}")
+    with pytest.raises(ValueError, match=match):
+        AxisSpec(parameter, 0.0, 1.0, 2)
 
 
 @pytest.mark.parametrize("path", ["g", "phi"])
