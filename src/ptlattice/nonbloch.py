@@ -64,7 +64,7 @@ _TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
 # off the spectrum of 1000 random models the ratio stays above 1.2e-3
 _ONE_ROOT_TOL = 1e-6
 _N_G = 501  # g/t grid of the broken-interval count
-# g/t points counted together (see _broken_intervals): each block costs a
+# g/t points counted together (see _real_state_counts): each block costs a
 # few passes over every sample, and a longer one keeps more samples live
 _BLOCK = 32
 # (g/t, sample) cells of D evaluated at once: a bounded array lets a dense
@@ -389,8 +389,8 @@ def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, float
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     """Scan the unit-circle ansatz beta = e^(i*gamma) over gamma in [0, 2pi].
 
-    On the circle the ring equation is a quadratic in r = g/t (the circle
-    curve of :func:`_ring_terms`), whose solution branches G(gamma) are
+    On the circle the ring equation is a quadratic in r = g/t
+    (:func:`_ring_circle`), whose solution branches G(gamma) are
     reported on the grid.  r gives a real spectrum only with L real
     eigenstates: crossings of r = G(gamma), gamma in (0, pi), plus
     real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
@@ -398,11 +398,14 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     ``theta`` and ``phi`` finite, ``L`` an integer >= 3 and ``g_range``
     finite with lo < hi; each is read by ``lattice._field``.
 
-    Limitation: two circle roots within one gamma cell cancel.  On Hermitian
-    rings (phi = 0) with theta L within about 1e-3 of 0 or pi, degenerate
-    pairs near the band centre split that little, and spurious intervals
-    appear: 13 at L = 24 and 25 (15 and 17 at theta L = pi), 18-21 at
-    L = 40 and 34-35 at L = 100; none at theta L = 0.05.
+    Limitation: two circle roots within one gamma cell cancel.  On rings
+    with theta L within about 1e-3 of 0 or pi, degenerate pairs near the
+    band centre split that little, and spurious intervals appear.  On
+    Hermitian rings (phi = 0): 13 at L = 24 and 25 (15 and 17 at
+    theta L = pi), 18-21 at L = 40 and 34-35 at L = 100; none at
+    theta L = 0.05.  At phi != 0 too: with theta L = 1e-3 and phi = pi/2,
+    L = 24 or 100, the scan reports a broken interval from g = 0, while the
+    spectrum stays real up to g = 5e-4 (threshold_pbc: 1e-3).
     """
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
@@ -423,7 +426,7 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
         raise ValueError(f"L must be at least 3, got {L}")
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
-    _, (A, B, C) = _ring_terms(gamma, L, math.cos(theta * L))
+    A, B, C = _ring_circle(gamma, L, math.cos(theta * L))
     pole = np.abs(A) < _POLE_TOL
     a = np.cos(phi) * B
     disc = a**2 - A * C
@@ -446,20 +449,35 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     )
 
 
-def _ring_terms(gamma: np.ndarray, L: int, cos_theta_L: float):
-    """The flux ring's boundary equation in units of t, r = g/t: with
-    K = e^(i gamma L) (r^2 e^(-i gamma) - 2 r cos(phi) + 2i sin(gamma)), it
-    reads at beta = e^(i*gamma + delta/L), to leading order in 1/L,
+# The flux ring's boundary equation in units of t, r = g/t: with
+# K = e^(i gamma L) (r^2 e^(-i gamma) - 2 r cos(phi) + 2i sin(gamma)), it reads
+# at beta = e^(i*gamma + delta/L), to leading order in 1/L,
+#
+#     sinh(delta) Re K + i (cosh(delta) Im K - 2 cos(theta L) sin(gamma)) = 0.
+#
+# Each of its two curves, as (A, B, C) of _quadratic over gamma, has one
+# builder: _ring_re_k gives Re K, which off-circle solutions (delta != 0)
+# need to vanish, and _ring_circle gives Im K - 2 cos(theta L) sin(gamma),
+# the equation itself at delta = 0 (the circle).
 
-        sinh(delta) Re K + i (cosh(delta) Im K - 2 cos(theta L) sin(gamma)) = 0.
 
-    Returns the curves Re K and Im K - 2 cos(theta L) sin(gamma) (exact at
-    delta = 0: the circle) over ``gamma``, as (A, B, C) of :func:`_quadratic`.
-    """
-    s_L, c_L, s = np.sin(gamma * L), np.cos(gamma * L), np.sin(gamma)
-    re = (np.cos(gamma * (L - 1)), c_L, -2.0 * s_L * s)
-    im = (np.sin(gamma * (L - 1)), s_L, 2.0 * (c_L - cos_theta_L) * s)
-    return re, im
+def _ring_re_k(gamma: np.ndarray, L: int):
+    """Re K of the ring equation above, as (A, B, C) over ``gamma``."""
+    return (
+        np.cos(gamma * (L - 1)),
+        np.cos(gamma * L),
+        -2.0 * np.sin(gamma * L) * np.sin(gamma),
+    )
+
+
+def _ring_circle(gamma: np.ndarray, L: int, cos_theta_L: float):
+    """Im K - 2 cos(theta L) sin(gamma) of the ring equation above, the
+    whole equation on the circle, as (A, B, C) over ``gamma``."""
+    return (
+        np.sin(gamma * (L - 1)),
+        np.sin(gamma * L),
+        2.0 * (np.cos(gamma * L) - cos_theta_L) * np.sin(gamma),
+    )
 
 
 def _quadratic(curve, r, cos_phi: float) -> np.ndarray:
@@ -475,7 +493,7 @@ def _quadratic(curve, r, cos_phi: float) -> np.ndarray:
 def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
     """(A, B, C) curves on which the ring boundary determinant D (see
     :func:`_quadratic`) is real: the circle beta = e^(i*gamma), gamma in
-    (0, pi) (:func:`_ring_terms`), and the axes beta = +-e^kappa, kappa > 0,
+    (0, pi) (:func:`_ring_circle`), and the axes beta = +-e^kappa, kappa > 0,
     times beta^-L:
         A = 1/beta - beta^-2L beta, B = 1 - beta^-2L,
         C = (1 + beta^-2L - 2 cos(theta L) beta^-L) (beta - 1/beta).
@@ -484,8 +502,9 @@ def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
     starts at 1e-6, past the root at beta = +-1, with a spacing of at most
     (log 3 - 1e-6) / 1999.
     """
+    cos_theta_L = math.cos(theta * L)
     gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    curves = [_ring_terms(gamma, L, math.cos(theta * L))[1]]
+    curves = [_ring_circle(gamma, L, cos_theta_L)]
     kappa_max = math.log(3.0 * (1.0 + r_max))
     ratio = (kappa_max - 1e-6) / (math.log(3.0) - 1e-6)
     kappa = np.linspace(1e-6, kappa_max, math.ceil(1999 * ratio) + 1)
@@ -493,7 +512,7 @@ def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
         b = sign * np.exp(kappa)
         binv = 1.0 / b
         far = binv ** (2 * L)
-        bracket = 1.0 + far - 2.0 * math.cos(theta * L) * binv**L
+        bracket = 1.0 + far - 2.0 * cos_theta_L * binv**L
         curves.append((binv - far * b, 1.0 - far, bracket * (b - binv)))
     return curves
 
@@ -515,8 +534,29 @@ def _crossings(curve, r: float, phi: float) -> int:
 
 def _real_state_counts(curves, rs: np.ndarray, phi: float) -> np.ndarray:
     """sum(_crossings(q, r, phi) for q in curves) at every r of the
-    ascending grid ``rs``, counted block by block as
-    :func:`_broken_intervals` states the rule."""
+    ascending grid ``rs``, counted for every r at once, block by block.
+
+    The grid is cut into blocks of _BLOCK consecutive r; a block's range
+    reaches to the next block's first r (the grid's last r for the last
+    block).  Fixed samples: in a block, a sample is fixed when D has one
+    sign, with |D| above the rounding bound _ROUNDING (r_max^2 |A|
+    + 2 r_max |cos(phi) B| + |C|), r_max = max |r|, at both ends of the
+    range and at the vertex cos(phi) B / A when it lies between them.  A
+    quadratic takes its extremes on an interval there, so no root of D lies
+    in the range and D has that float sign at every grid r of the block.  A
+    run of fixed samples, between two samples of K or at a curve's end, then
+    adds the same sign changes at every r, so the count at r is the count on
+    K (the live samples and their +-1 neighbours) plus one constant per
+    block: the full curve's count minus K's, at the block's first r.  K is
+    evaluated through :func:`_quadratic` with r as a column, as (r, sample)
+    arrays of at most _CELLS cells: the whole block at once unless K is
+    large.
+
+    Zero skips: exact zeros are skipped as :func:`_sign_changes` skips them,
+    so a root on a sample counts once and a touch not at all.  A fixed
+    sample is never zero, and a row of K with a zero goes through that
+    function.
+    """
     cos_phi = math.cos(phi)
     r_max = max(abs(rs[0]), abs(rs[-1]))
     counts = np.zeros(len(rs), dtype=np.intp)
@@ -569,29 +609,8 @@ def _broken_intervals(
     """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
     real eigenstates: sign changes of D along every curve of
     :func:`_ring_quadratics`, as :func:`_crossings` counts them at each r,
-    but counted for every r at once by :func:`_real_state_counts`.
-
-    The grid is cut into blocks of _BLOCK consecutive r; a block's range
-    reaches to the next block's first r (the grid's last r for the last
-    block).  Fixed samples: in a block, a sample is fixed when D has one
-    sign, with |D| above the rounding bound _ROUNDING (r_max^2 |A|
-    + 2 r_max |cos(phi) B| + |C|), r_max = max |r|, at both ends of the
-    range and at the vertex cos(phi) B / A when it lies between them.  A
-    quadratic takes its extremes on an interval there, so no root of D lies
-    in the range and D has that float sign at every grid r of the block.  A
-    run of fixed samples, between two samples of K or at a curve's end, then
-    adds the same sign changes at every r, so the count at r is the count on
-    K (the live samples and their +-1 neighbours) plus one constant per
-    block: the full curve's count minus K's, at the block's first r.  K is
-    evaluated through :func:`_quadratic` with r as a column, as (r, sample)
-    arrays of at most _CELLS cells: the whole block at once unless K is
-    large.
-
-    Zero skips: exact zeros are skipped as :func:`_sign_changes` skips them,
-    so a root on a sample counts once and a touch not at all.  A fixed
-    sample is never zero, and a row of K with a zero goes through that
-    function.
-    """
+    but counted for every r at once by :func:`_real_state_counts`.  A run
+    is reported as its first and last grid r."""
     rs = np.linspace(lo, hi, _N_G)
     curves = _ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
     broken = _real_state_counts(curves, rs, phi) < L
@@ -665,7 +684,7 @@ def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
 
     ``spec`` must be a flux ring as :func:`_ring_parameters` checks it.
     Off-circle solutions (sinh(delta) != 0) of the ring equation
-    (:func:`_ring_terms`) need Re K(gamma) = 0.  Its roots are the sign
+    need Re K(gamma) = 0 (:func:`_ring_re_k`).  Its roots are the sign
     changes of Re K on a 10L-point gamma grid over (0, pi), refined
     together by bisection to a width of 1e-14 (see
     :func:`_sign_change_roots`); the imaginary part then fixes delta in
@@ -678,12 +697,12 @@ def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
     cos_theta_L = math.cos(ring["theta"] * L)
 
     def re_k(gm: np.ndarray) -> np.ndarray:
-        return _quadratic(_ring_terms(gm, L, cos_theta_L)[0], r, cos_phi)
+        return _quadratic(_ring_re_k(gm, L), r, cos_phi)
 
     grid = np.linspace(1e-9, math.pi - 1e-9, 10 * L)
     gamma = _sign_change_roots(re_k, grid, 1e-14)
     flux = 2.0 * cos_theta_L * np.sin(gamma)
-    im_k = _quadratic(_ring_terms(gamma, L, cos_theta_L)[1], r, cos_phi) + flux
+    im_k = _quadratic(_ring_circle(gamma, L, cos_theta_L), r, cos_phi) + flux
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs = flux / im_k
     keep = np.isfinite(rhs) & (rhs > 1.0 + 1e-12)

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 import warnings
@@ -455,9 +456,76 @@ def test_unitary_scan_on_the_benchmark_rings(L, want):
 
 
 def test_unitary_scan_keeps_the_documented_spurious_intervals():
-    # the limitation in unitary_scan's docstring: a clean ring at theta = 0
-    params = {"t": 1.0, "g_range": (0.0, 2.0), "theta": 0.0, "phi": 0.0, "L": 25}
-    assert len(unitary_scan(params, 2000).broken_g_intervals) == 13
+    # the limitation in unitary_scan's docstring: theta L near 0, Hermitian
+    # or not, gives intervals from g = 0 where the dense spectrum is real
+    for L, theta_L, phi, g_hi, want in (
+        (25, 0.0, 0.0, 2.0, 13),
+        (24, 1e-3, math.pi / 2, 0.005, 1),
+        (100, 1e-3, math.pi / 2, 0.005, 1),
+    ):
+        params = {"t": 1.0, "g_range": (0.0, g_hi), "theta": theta_L / L, "phi": phi, "L": L}
+        intervals = unitary_scan(params, 2000).broken_g_intervals
+        assert len(intervals) == want and intervals[0][0] == 0.0
+        g = 5e-4
+        assert g <= intervals[0][1]
+        spectrum, scale = solve(flux_ring(L, theta_L / L, g, phi=phi), vectors=False)
+        assert classify_spectrum(spectrum, scale).n_com == 0
+
+
+# sha256 of the array bytes, recorded before the ring equation got one
+# builder per curve; no benchmark workload or CLI path runs the asymptotic
+# solver, so this is the check that its bisection keeps its bits
+_RING_THEORY_BITS = {
+    100: {
+        "g_plus": "7c6614408de6259e33491d8f864f53f445523128275f24dc06e712fe737d1071",
+        "g_minus": "45610dfb327cc3868732ac08a9bbfc84dadfe4f9a59d15c029e3dd4c6669b23b",
+        "discriminant_negative": "c62a70507b4d9f951f3b4a781d0a3704cbb1dd15a1959dcb3233a8c129c9937d",
+        "solver": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    400: {
+        "g_plus": "02f376e276488018497ae18a43059ae930b0d39e29ee7e6062891172b27ba8eb",
+        "g_minus": "0fed28417b858ebe6994cfd519d114c60358dcbc5611a74d154d657e5afb64ee",
+        "discriminant_negative": "bb2e719aaaf5c91a510e30001fb7c53107d4ad8ac69e80fdfa1caa1b05bb77eb",
+        "solver": (242, "dbf3fe1f9b9d1088a0b2cb014b7d95c8a25b0f78916677cc7d26397be0d5a1b4"),
+    },
+}
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("L", [100, 400])
+def test_ring_theory_outputs_keep_their_bits(L):
+    # the two rings of perfbench's ring_theory workload
+    spec = flux_ring(L, 0.3, 0.8)
+    want = _RING_THEORY_BITS[L]
+    scan = unitary_scan({**nonbloch._ring_parameters(spec), "g_range": (0.0, 1.5)}, 2000)
+    for name in ("g_plus", "g_minus", "discriminant_negative"):
+        assert _sha256(getattr(scan, name)) == want[name], name
+    sols = asymptotic_broken_solver(spec)
+    assert (len(sols), _sha256(np.array(sols, dtype=float))) == want["solver"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ring_builders_match_the_complex_equation(seed):
+    # K = e^(i gamma L) (r^2 e^(-i gamma) - 2 r cos(phi) + 2i sin(gamma))
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(3, 501))
+    theta, phi = rng.uniform(-math.pi, math.pi, size=2)
+    r = rng.uniform(0.0, 3.0)
+    gamma = rng.uniform(0.0, 2.0 * math.pi, size=200)
+    cos_phi, cos_theta_L = math.cos(phi), math.cos(theta * L)
+    bracket = r * r * np.exp(-1j * gamma) - 2.0 * r * cos_phi + 2j * np.sin(gamma)
+    K = np.exp(1j * gamma * L) * bracket
+    # relative to the size of the terms the curves sum
+    scale = r * r + 2.0 * r * abs(cos_phi) + 2.0 + 2.0 * abs(cos_theta_L)
+    re_k = nonbloch._quadratic(nonbloch._ring_re_k(gamma, L), r, cos_phi)
+    circle = nonbloch._quadratic(nonbloch._ring_circle(gamma, L, cos_theta_L), r, cos_phi)
+    np.testing.assert_allclose(re_k, K.real, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        circle, K.imag - 2.0 * cos_theta_L * np.sin(gamma), rtol=0.0, atol=1e-12 * scale
+    )
 
 
 def _assert_blocked_count(curves, rs, phi):
