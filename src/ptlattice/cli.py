@@ -177,8 +177,8 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> tuple[str, dict]:
     spec = _model_config(doc, "nonbloch")
     resolution = _field(doc, "gamma_resolution", _integer, 2000)
     g_range = _field(doc, "g_range", default=(0.0, 2.0))
-    ring = _ring_parameters(spec)
-    result = unitary_scan({**ring, "g_range": g_range}, resolution)
+    ring, g = _ring_parameters(spec)
+    result = unitary_scan({**vars(ring), "g_range": g_range}, resolution)
     spectrum, _ = solve(spec, vectors=False)
     worst, worst_ill, ill = _spectrum_audit(spec, spectrum.eigenvalues)
     header = ("gamma", "G_plus", "G_minus", "discriminant_negative")
@@ -186,7 +186,7 @@ def _cmd_nonbloch(doc: dict, out: Path, args) -> tuple[str, dict]:
     print(f"broken g/t intervals: {list(result.broken_g_intervals)}")
     print(f"max normalized boundary determinant over spectrum: {worst:.3e}")
     return "nonbloch.json", {
-        "g": ring["g"],
+        "g": g,
         "broken_g_intervals": [list(iv) for iv in result.broken_g_intervals],
         "max_normalized_boundary_det": worst,
         "max_normalized_boundary_det_ill_conditioned": worst_ill,
@@ -202,19 +202,18 @@ def _cmd_effective(doc: dict, out: Path, args) -> tuple[str, dict]:
                 f"effective config key {key!r} is not accepted: t and phi come from the model"
             )
     thetas = _items(doc, "thetas", _number)
-    ring = _ring_parameters(base)
-    t, phi = ring["t"], ring["phi"]
+    ring, _ = _ring_parameters(base)
     rows = []
     for theta in thetas:
-        g_pred = threshold_pbc(base.L, theta, phi, t)
-        g_printed = threshold_pbc_printed(base.L, theta, phi, t)
+        g_pred = threshold_pbc(ring.L, theta, ring.phi, ring.t)
+        g_printed = threshold_pbc_printed(ring.L, theta, ring.phi, ring.t)
         g_obs, rel = None, math.nan
         if math.isfinite(g_pred) and g_pred > 0:
             spec = apply_parameter(base, "flux_theta", theta)
             g_obs = _first_onset(spec, "g", 0.0, 2.0 * g_pred, 41)
             if g_obs is not None:
                 rel = abs(g_obs - g_pred) / g_pred
-        rows.append((theta, phi, g_pred, g_printed, _or_no_onset(g_obs), rel))
+        rows.append((theta, ring.phi, g_pred, g_printed, _or_no_onset(g_obs), rel))
     header = ("theta", "phi", "g_c_predicted", "g_c_printed_form", "g_c_observed", "relative_error")
     _write_table(out / "thresholds.csv", header, rows)
     for theta, _, g_pred, g_printed, g_obs, _ in rows:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .eigen import eigvals
 from .lattice import PerturbationTerm
+from .nonbloch import _Ring
 
 __all__ = [
     "EffectiveBlock",
@@ -200,9 +201,11 @@ def threshold_pbc(L: int, theta: float, phi: float, t: float) -> float:
 
     turns negative: g_c = t L sin(theta) * min |sin k| / sqrt(-A) over modes
     with A < 0.  Returns inf when no mode can break (A >= 0 everywhere).
-    These are the first-order blocks of :func:`eff_h_pbc`.
+    These are the first-order blocks of :func:`eff_h_pbc`.  t, phi and L
+    must pass the ring record's checks (:class:`~ptlattice.nonbloch._Ring`).
     """
     sin_theta = _flux_sine(theta)
+    _Ring(t, theta, phi, L)
     k = _pair_momenta(L)
     A = np.cos(k) ** 2 * math.cos(phi) ** 2 - np.sin(k) ** 2 * math.sin(phi) ** 2
     mask = A < 0
@@ -217,6 +220,7 @@ def threshold_pbc_printed(L: int, theta: float, phi: float, t: float) -> float:
     -2 sin^2 k / (cos 2k + cos 2phi), kept verbatim for comparison; it
     disagrees with :func:`threshold_pbc` by a power of sin(theta)."""
     sin_theta = _flux_sine(theta)
+    _Ring(t, theta, phi, L)
     k = _pair_momenta(L)
     denom = np.cos(2 * k) + math.cos(2 * phi)
     with np.errstate(divide="ignore", invalid="ignore"):

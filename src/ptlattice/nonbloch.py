@@ -386,6 +386,27 @@ def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, float
     )
 
 
+@dataclass(frozen=True)
+class _Ring:
+    """A flux ring's hopping t, flux theta per bond, end phase phi and size
+    L, whose values are checked here alone; g stays out, as the count varies it."""
+
+    t: float
+    theta: float
+    phi: float
+    L: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"t must be finite and positive, got {self.t}")
+        for key in ("theta", "phi"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {value}")
+        object.__setattr__(self, "L", _integer(self.L, "L"))
+        if self.L < 3:
+            raise ValueError(f"L must be at least 3, got {self.L}")
+
+
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     """Scan the unit-circle ansatz beta = e^(i*gamma) over gamma in [0, 2pi].
 
@@ -394,9 +415,9 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     reported on the grid.  r gives a real spectrum only with L real
     eigenstates: crossings of r = G(gamma), gamma in (0, pi), plus
     real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
-    the g/t ranges where they are fewer.  ``t`` must be finite and positive,
-    ``theta`` and ``phi`` finite, ``L`` an integer >= 3 and ``g_range``
-    finite with lo < hi; each is read by ``lattice._field``.
+    the g/t ranges where they are fewer.  :class:`_Ring` checks ``t``,
+    ``theta``, ``phi`` and ``L``; ``g_range`` must be finite with lo < hi
+    and ``gamma_resolution`` an integer >= 1000.
 
     Limitation: two circle roots within one gamma cell cancel.  On rings
     with theta L within about 1e-3 of 0 or pi, degenerate pairs near the
@@ -407,28 +428,20 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     L = 24 or 100, the scan reports a broken interval from g = 0, while the
     spectrum stays real up to g = 5e-4 (threshold_pbc: 1e-3).
     """
+    gamma_resolution = _integer(gamma_resolution, "gamma_resolution")
     if gamma_resolution < 1000:
         raise ValueError("gamma_resolution must be at least 1000")
-    t = _field(params, "t", _number)
+    t, theta, phi = (_field(params, key, _number) for key in ("t", "theta", "phi"))
+    ring = _Ring(t, theta, phi, _field(params, "L"))
     g_range = _items(params, "g_range", _number)
     if not (len(g_range) == 2 and all(map(math.isfinite, g_range)) and g_range[0] < g_range[1]):
         raise ValueError(f"g_range needs two finite numbers, lo < hi, got {g_range}")
     g_lo, g_hi = g_range
-    theta = _field(params, "theta", _number)
-    phi = _field(params, "phi", _number)
-    L = _field(params, "L", _integer)
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    for key, value in (("theta", theta), ("phi", phi)):
-        if not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
-    if L < 3:
-        raise ValueError(f"L must be at least 3, got {L}")
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
-    A, B, C = _ring_circle(gamma, L, math.cos(theta * L))
+    A, B, C = _ring_circle(gamma, ring.L, math.cos(ring.theta * ring.L))
     pole = np.abs(A) < _POLE_TOL
-    a = np.cos(phi) * B
+    a = np.cos(ring.phi) * B
     disc = a**2 - A * C
     neg = disc < 0
 
@@ -438,7 +451,7 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
         g_minus = np.where(pole, np.nan, (a - sq) / A)
 
     intervals = _broken_intervals(
-        theta, phi, L, g_lo / t, g_hi / t, max(gamma_resolution, 50 * L)
+        ring, g_lo / ring.t, g_hi / ring.t, max(gamma_resolution, 50 * ring.L)
     )
     return UnitaryScanResult(
         gamma_grid=gamma,
@@ -490,7 +503,7 @@ def _quadratic(curve, r, cos_phi: float) -> np.ndarray:
     return r * r * a - 2.0 * r * cos_phi * b + c
 
 
-def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
+def _ring_quadratics(ring: _Ring, n_gamma: int, r_max: float):
     """(A, B, C) curves on which the ring boundary determinant D (see
     :func:`_quadratic`) is real: the circle beta = e^(i*gamma), gamma in
     (0, pi) (:func:`_ring_circle`), and the axes beta = +-e^kappa, kappa > 0,
@@ -502,17 +515,17 @@ def _ring_quadratics(theta: float, L: int, n_gamma: int, r_max: float):
     starts at 1e-6, past the root at beta = +-1, with a spacing of at most
     (log 3 - 1e-6) / 1999.
     """
-    cos_theta_L = math.cos(theta * L)
+    cos_theta_L = math.cos(ring.theta * ring.L)
     gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    curves = [_ring_circle(gamma, L, cos_theta_L)]
+    curves = [_ring_circle(gamma, ring.L, cos_theta_L)]
     kappa_max = math.log(3.0 * (1.0 + r_max))
     ratio = (kappa_max - 1e-6) / (math.log(3.0) - 1e-6)
     kappa = np.linspace(1e-6, kappa_max, math.ceil(1999 * ratio) + 1)
     for sign in (1.0, -1.0):
         b = sign * np.exp(kappa)
         binv = 1.0 / b
-        far = binv ** (2 * L)
-        bracket = 1.0 + far - 2.0 * cos_theta_L * binv**L
+        far = binv ** (2 * ring.L)
+        bracket = 1.0 + far - 2.0 * cos_theta_L * binv**ring.L
         curves.append((binv - far * b, 1.0 - far, bracket * (b - binv)))
     return curves
 
@@ -604,7 +617,7 @@ def _real_state_counts(curves, rs: np.ndarray, phi: float) -> np.ndarray:
 
 
 def _broken_intervals(
-    theta: float, phi: float, L: int, lo: float, hi: float, n_gamma: int
+    ring: _Ring, lo: float, hi: float, n_gamma: int
 ) -> tuple[tuple[float, float], ...]:
     """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
     real eigenstates: sign changes of D along every curve of
@@ -612,8 +625,8 @@ def _broken_intervals(
     but counted for every r at once by :func:`_real_state_counts`.  A run
     is reported as its first and last grid r."""
     rs = np.linspace(lo, hi, _N_G)
-    curves = _ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
-    broken = _real_state_counts(curves, rs, phi) < L
+    curves = _ring_quadratics(ring, n_gamma, max(abs(lo), abs(hi)))
+    broken = _real_state_counts(curves, rs, ring.phi) < ring.L
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
     return tuple(
@@ -644,9 +657,9 @@ def _sign_change_roots(f, grid: np.ndarray, xtol: float) -> np.ndarray:
     return roots
 
 
-def _ring_parameters(spec: ModelSpec) -> dict:
-    """{"t", "g", "theta", "phi", "L"} of a flux ring: a periodic chain with
-    one real, positive range-1 hopping t and either no perturbation (g = 0,
+def _ring_parameters(spec: ModelSpec) -> tuple[_Ring, float]:
+    """(:class:`_Ring`, g) of a flux ring: a periodic chain with one real,
+    positive range-1 hopping t and either no perturbation (g = 0,
     phi = 0) or exactly g e^(i*phi)|1><1| + g e^(-i*phi)|L><L|, with the
     site-L amplitude the exact conjugate of the site-1 amplitude (the exact
     PT test of :func:`~ptlattice.eigen.solve`).  g and phi are read from the
@@ -675,7 +688,7 @@ def _ring_parameters(spec: ModelSpec) -> dict:
                 f"conjugate of the site-1 amplitude {first}, got {ends[(spec.L, spec.L)]}"
             )
         g, phi = abs(first), cmath.phase(first)
-    return {"t": t.real, "g": g, "theta": spec.flux_theta, "phi": phi, "L": spec.L}
+    return _Ring(t.real, spec.flux_theta, phi, spec.L), g
 
 
 def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
@@ -692,9 +705,9 @@ def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
     Returns (gamma, delta) pairs by ascending gamma, +delta before -delta.
     Empty when the model is PT-unbroken.
     """
-    ring = _ring_parameters(spec)
-    r, cos_phi, L = ring["g"] / ring["t"], math.cos(ring["phi"]), ring["L"]
-    cos_theta_L = math.cos(ring["theta"] * L)
+    ring, g = _ring_parameters(spec)
+    r, cos_phi, L = g / ring.t, math.cos(ring.phi), ring.L
+    cos_theta_L = math.cos(ring.theta * L)
 
     def re_k(gm: np.ndarray) -> np.ndarray:
         return _quadratic(_ring_re_k(gm, L), r, cos_phi)

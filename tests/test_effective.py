@@ -206,6 +206,29 @@ def test_threshold_rejects_non_finite_flux(threshold, theta):
         threshold(24, theta, math.pi / 2, 1.0)
 
 
+_T_MUST = "t must be finite and positive"
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        pytest.param((100, 0.3, math.nan, 1.0), "phi must be finite, got nan", id="phi_nan"),
+        pytest.param((100, 0.3, math.pi / 2, -1.0), _T_MUST, id="t_negative"),
+        pytest.param((100, 0.3, math.pi / 2, math.nan), _T_MUST, id="t_nan"),
+        pytest.param((2, 0.3, math.pi / 2, 1.0), "L must be at least 3, got 2", id="L_2"),
+        pytest.param((0, 0.3, math.pi / 2, 1.0), "L must be at least 3, got 0", id="L_0"),
+        pytest.param((-5, 0.3, math.pi / 2, 1.0), "L must be at least 3, got -5", id="L_-5"),
+        pytest.param((100.5, 0.3, math.pi / 2, 1.0), "L must be an integer", id="L_fraction"),
+    ],
+)
+@pytest.mark.parametrize("threshold", [threshold_pbc, threshold_pbc_printed])
+def test_threshold_rejects_invalid_ring_values(threshold, args, match):
+    # each once returned a number: inf for NaN phi and small L, a negative
+    # threshold for t = -1, NaN for t = NaN and a value for L = 100.5
+    with pytest.raises(ValueError, match=match):
+        threshold(*args)
+
+
 def test_threshold_printed_form_differs():
     L, theta, phi = 100, 0.3 / 100, math.pi / 2
     a = threshold_pbc(L, theta, phi, 1.0)

@@ -440,6 +440,27 @@ def test_unitary_scan_rejects_invalid_ring_values(key, value, match):
         unitary_scan(params, 1000)
 
 
+_SCAN_PARAMS = {"t": 1.0, "g_range": (0.0, 1.5), "theta": 0.3, "phi": 1.0, "L": 20}
+
+
+@pytest.mark.parametrize(
+    "resolution", [1500.5, math.nan, True, [2000]], ids=["fraction", "nan", "bool", "list"]
+)
+def test_unitary_scan_rejects_a_non_integer_gamma_resolution(resolution):
+    # these once raised TypeError, or for True read as 1
+    with pytest.raises(ValueError, match="^gamma_resolution must be an integer"):
+        unitary_scan(_SCAN_PARAMS, resolution)
+
+
+def test_unitary_scan_reads_gamma_resolution_as_the_cli_does():
+    # the CLI's gamma_resolution key accepts 2000.0; the Python API once raised TypeError
+    want = unitary_scan(_SCAN_PARAMS, 2000)
+    for resolution in (2000.0, "2000"):
+        got = unitary_scan(_SCAN_PARAMS, resolution)
+        np.testing.assert_array_equal(got.g_plus, want.g_plus)
+        assert got.broken_g_intervals == want.broken_g_intervals
+
+
 def test_unitary_scan_grid_shape():
     res = unitary_scan(
         {"t": 1.0, "g_range": (0.0, 1.0), "theta": 0.3, "phi": 1.0, "L": 20}, 1000
@@ -451,8 +472,8 @@ def test_unitary_scan_grid_shape():
 @pytest.mark.parametrize("L, want", [(100, ((1.302, 1.5),)), (400, ((0.609, 1.5),))])
 def test_unitary_scan_on_the_benchmark_rings(L, want):
     # the two rings of perfbench's ring_theory workload, pinned exactly
-    ring = nonbloch._ring_parameters(flux_ring(L, 0.3, 0.8))
-    assert unitary_scan({**ring, "g_range": (0.0, 1.5)}, 2000).broken_g_intervals == want
+    ring, _ = nonbloch._ring_parameters(flux_ring(L, 0.3, 0.8))
+    assert unitary_scan({**vars(ring), "g_range": (0.0, 1.5)}, 2000).broken_g_intervals == want
 
 
 def test_unitary_scan_keeps_the_documented_spurious_intervals():
@@ -500,7 +521,8 @@ def test_ring_theory_outputs_keep_their_bits(L):
     # the two rings of perfbench's ring_theory workload
     spec = flux_ring(L, 0.3, 0.8)
     want = _RING_THEORY_BITS[L]
-    scan = unitary_scan({**nonbloch._ring_parameters(spec), "g_range": (0.0, 1.5)}, 2000)
+    ring, _ = nonbloch._ring_parameters(spec)
+    scan = unitary_scan({**vars(ring), "g_range": (0.0, 1.5)}, 2000)
     for name in ("g_plus", "g_minus", "discriminant_negative"):
         assert _sha256(getattr(scan, name)) == want[name], name
     sols = asymptotic_broken_solver(spec)
@@ -539,7 +561,8 @@ def _assert_blocked_count(curves, rs, phi):
 def _assert_ring_count(theta, phi, L, lo, hi, gamma_resolution=2000):
     rs = np.linspace(lo, hi, nonbloch._N_G)
     n_gamma = max(gamma_resolution, 50 * L)
-    curves = nonbloch._ring_quadratics(theta, L, n_gamma, max(abs(lo), abs(hi)))
+    ring = nonbloch._Ring(1.0, theta, phi, L)
+    curves = nonbloch._ring_quadratics(ring, n_gamma, max(abs(lo), abs(hi)))
     _assert_blocked_count(curves, rs, phi)
 
 
@@ -732,17 +755,17 @@ def test_asymptotic_solver_rejects_non_rings(name):
 
 def test_asymptotic_empty_without_perturbation():
     spec = replace(flux_ring(60, 0.5, 0.8), perturbations=())
-    assert nonbloch._ring_parameters(spec)["g"] == 0.0
+    assert nonbloch._ring_parameters(spec)[1] == 0.0
     assert asymptotic_broken_solver(spec) == []
 
 
 def test_ring_phase_read_from_site_1():
     spec = flux_ring(100, 0.5, 0.8, phi=1.0)
     flipped = replace(spec, perturbations=spec.perturbations[::-1])
-    ring = nonbloch._ring_parameters(flipped)
-    assert ring == nonbloch._ring_parameters(spec)
-    assert ring["phi"] == pytest.approx(1.0, abs=1e-15)
-    assert ring["g"] == pytest.approx(0.8, abs=1e-15)
+    ring, g = nonbloch._ring_parameters(flipped)
+    assert (ring, g) == nonbloch._ring_parameters(spec)
+    assert ring.phi == pytest.approx(1.0, abs=1e-15)
+    assert g == pytest.approx(0.8, abs=1e-15)
     sols = asymptotic_broken_solver(flipped)
     assert sols and sols == asymptotic_broken_solver(spec)
 

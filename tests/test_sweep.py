@@ -94,7 +94,7 @@ def test_phi_axis_keeps_a_phi_zero_ring_pt_symmetric():
     # came out e^(+i phi) and the swept ring was no longer PT-symmetric
     swept = apply_parameter(flux_ring(10, 0.2, 0.5, phi=0.0), "phi", 1.0)
     assert is_pt_symmetric(swept)
-    assert _ring_parameters(swept)["phi"] == 1.0
+    assert _ring_parameters(swept)[0].phi == 1.0
 
 
 @pytest.mark.parametrize("end", [{"re": 0.5, "im": 0.0}, {"re": 0.5}], ids=["im_plus_zero", "no_im"])
@@ -110,10 +110,10 @@ def test_phi_axis_keeps_a_real_ended_ring_pt_symmetric(end):
             "perturbations": [{"i": 1, "j": 1, **end}, {"i": 10, "j": 10, **end}],
         }
     )
-    assert _ring_parameters(ring)["phi"] == 0.0
+    assert _ring_parameters(ring)[0].phi == 0.0
     swept = apply_parameter(ring, "phi", 1.0)
     assert is_pt_symmetric(swept)
-    assert _ring_parameters(swept)["phi"] == 1.0
+    assert _ring_parameters(swept)[0].phi == 1.0
 
 
 @pytest.mark.parametrize("path", ["g", "phi"])
