@@ -225,8 +225,9 @@ def _items(doc, path: str, convert=lambda value: value, default=None) -> list:
 
 
 def _number(value) -> float:
-    """value as a float (NaN and infinities included), but not a bool."""
-    if not isinstance(value, bool):
+    """value as a float (NaN and infinities included), but not a bool or a
+    string: float(" 0.5 ") would read a config's string as a number."""
+    if not isinstance(value, (bool, str)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):

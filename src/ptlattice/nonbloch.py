@@ -8,9 +8,10 @@ builds the boundary matrices for open and flux-threaded periodic chains
 in an overflow-safe scaled form, and implements two solvers for the
 PT-breaking structure on the ring: an exact unitary (|beta| = 1) ansatz
 scan and an asymptotic large-L solver for the broken branch
-beta = exp(i*gamma + delta/L).  The scan counts real eigenstates on the
-unit circle plus real-beta bound states on one kappa grid (Yokomizo &
-Murakami, PRL 123, 066404 (2019)).
+beta = exp(i*gamma + delta/L).  The scan's broken intervals come from the
+exact, solve-free count of the ring's real levels in ``ring_equation``,
+which also holds the ring record and the curves of its boundary equation
+(Yokomizo & Murakami, PRL 123, 066404 (2019)).
 
 The oracle is batched: N energies take one values-only :func:`eigvals`
 call on the stack of companion matrices, array-wide Newton steps, and one
@@ -41,6 +42,7 @@ from .lattice import (
     _number,
     apply_gauge_transform,
 )
+from .ring_equation import _quadratic, _real_state_counts, _Ring, _ring_circle, _ring_re_k
 
 __all__ = [
     "BetaRootSet",
@@ -64,16 +66,6 @@ _TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
 # off the spectrum of 1000 random models the ratio stays above 1.2e-3
 _ONE_ROOT_TOL = 1e-6
 _N_G = 501  # g/t grid of the broken-interval count
-# g/t points counted together (see _real_state_counts): each block costs a
-# few passes over every sample, and a longer one keeps more samples live
-_BLOCK = 32
-# (g/t, sample) cells of D evaluated at once: a bounded array lets a dense
-# block reuse the memory of the last one instead of growing the heap
-_CELLS = 2**14
-# bound on |D| below which roundoff could flip the float sign of D =
-# r^2 A - 2 r cos(phi) B + C: twice its error of at most 2 eps per unit of
-# r^2 |A| + 2 |r cos(phi) B| + |C|, with a factor 2 to spare
-_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -137,8 +129,8 @@ class UnitaryScanResult:
 
     ``g_plus``/``g_minus`` hold the two branches of g/t as functions of
     gamma (NaN where the discriminant is negative or at removable poles);
-    ``broken_g_intervals`` are the runs of the g/t grid where fewer than L
-    real eigenstates are counted, on the circle plus the real-beta axes.
+    ``broken_g_intervals`` are the runs of the 501-point g grid where the
+    ring has fewer than L real levels (:func:`_real_state_counts`).
     """
 
     gamma_grid: np.ndarray
@@ -386,47 +378,19 @@ def _spectrum_audit(spec: ModelSpec, energies: np.ndarray) -> tuple[float, float
     )
 
 
-@dataclass(frozen=True)
-class _Ring:
-    """A flux ring's hopping t, flux theta per bond, end phase phi and size
-    L, whose values are checked here alone; g stays out, as the count varies it."""
-
-    t: float
-    theta: float
-    phi: float
-    L: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"t must be finite and positive, got {self.t}")
-        for key in ("theta", "phi"):
-            if not math.isfinite(value := getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {value}")
-        object.__setattr__(self, "L", _integer(self.L, "L"))
-        if self.L < 3:
-            raise ValueError(f"L must be at least 3, got {self.L}")
-
-
 def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     """Scan the unit-circle ansatz beta = e^(i*gamma) over gamma in [0, 2pi].
 
     On the circle the ring equation is a quadratic in r = g/t
     (:func:`_ring_circle`), whose solution branches G(gamma) are
-    reported on the grid.  r gives a real spectrum only with L real
-    eigenstates: crossings of r = G(gamma), gamma in (0, pi), plus
-    real-beta bound states on one kappa grid.  ``broken_g_intervals`` are
-    the g/t ranges where they are fewer.  :class:`_Ring` checks ``t``,
-    ``theta``, ``phi`` and ``L``; ``g_range`` must be finite with lo < hi
-    and ``gamma_resolution`` an integer >= 1000.
-
-    Limitation: two circle roots within one gamma cell cancel.  On rings
-    with theta L within about 1e-3 of 0 or pi, degenerate pairs near the
-    band centre split that little, and spurious intervals appear.  On
-    Hermitian rings (phi = 0): 13 at L = 24 and 25 (15 and 17 at
-    theta L = pi), 18-21 at L = 40 and 34-35 at L = 100; none at
-    theta L = 0.05.  At phi != 0 too: with theta L = 1e-3 and phi = pi/2,
-    L = 24 or 100, the scan reports a broken interval from g = 0, while the
-    spectrum stays real up to g = 5e-4 (threshold_pbc: 1e-3).
+    reported on the ``gamma_resolution`` grid.  r gives a real spectrum
+    only with L real levels: crossings of r = G(gamma), gamma in (0, pi),
+    plus real-beta bound states.  ``broken_g_intervals`` are the g ranges
+    of g_range's 501-point grid where the exact count
+    (:func:`_real_state_counts`) finds fewer; they do not depend on
+    ``gamma_resolution``.  :class:`_Ring` checks ``t``, ``theta``,
+    ``phi`` and ``L``; ``g_range`` must be finite with lo < hi and
+    ``gamma_resolution`` an integer >= 1000.
     """
     gamma_resolution = _integer(gamma_resolution, "gamma_resolution")
     if gamma_resolution < 1000:
@@ -450,9 +414,7 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
         g_plus = np.where(pole, np.nan, (a + sq) / A)
         g_minus = np.where(pole, np.nan, (a - sq) / A)
 
-    intervals = _broken_intervals(
-        ring, g_lo / ring.t, g_hi / ring.t, max(gamma_resolution, 50 * ring.L)
-    )
+    intervals = _broken_intervals(ring, g_lo / ring.t, g_hi / ring.t)
     return UnitaryScanResult(
         gamma_grid=gamma,
         g_plus=g_plus,
@@ -462,72 +424,16 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     )
 
 
-# The flux ring's boundary equation in units of t, r = g/t: with
-# K = e^(i gamma L) (r^2 e^(-i gamma) - 2 r cos(phi) + 2i sin(gamma)), it reads
-# at beta = e^(i*gamma + delta/L), to leading order in 1/L,
-#
-#     sinh(delta) Re K + i (cosh(delta) Im K - 2 cos(theta L) sin(gamma)) = 0.
-#
-# Each of its two curves, as (A, B, C) of _quadratic over gamma, has one
-# builder: _ring_re_k gives Re K, which off-circle solutions (delta != 0)
-# need to vanish, and _ring_circle gives Im K - 2 cos(theta L) sin(gamma),
-# the equation itself at delta = 0 (the circle).
-
-
-def _ring_re_k(gamma: np.ndarray, L: int):
-    """Re K of the ring equation above, as (A, B, C) over ``gamma``."""
-    return (
-        np.cos(gamma * (L - 1)),
-        np.cos(gamma * L),
-        -2.0 * np.sin(gamma * L) * np.sin(gamma),
+def _broken_intervals(ring: _Ring, lo: float, hi: float) -> tuple[tuple[float, float], ...]:
+    """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
+    real levels (:func:`_real_state_counts`), each as its first and last r."""
+    rs = np.linspace(lo, hi, _N_G)
+    broken = _real_state_counts(ring, rs)[0] < ring.L
+    # runs of broken points start at even and end after odd edges
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
+    return tuple(
+        (float(rs[a]), float(rs[b - 1])) for a, b in zip(edges[::2], edges[1::2])
     )
-
-
-def _ring_circle(gamma: np.ndarray, L: int, cos_theta_L: float):
-    """Im K - 2 cos(theta L) sin(gamma) of the ring equation above, the
-    whole equation on the circle, as (A, B, C) over ``gamma``."""
-    return (
-        np.sin(gamma * (L - 1)),
-        np.sin(gamma * L),
-        2.0 * (np.cos(gamma * L) - cos_theta_L) * np.sin(gamma),
-    )
-
-
-def _quadratic(curve, r, cos_phi: float) -> np.ndarray:
-    """r^2 A - 2 r cos(phi) B + C on one (A, B, C) curve, elementwise; r may
-    be a scalar or an array that broadcasts against the curve.  r^2 is one
-    rounded product, so a scalar r and the same r in an array give the same
-    bits (pow(r, 2) differs from r * r in the last bit for about 0.1 % of
-    doubles)."""
-    a, b, c = curve
-    return r * r * a - 2.0 * r * cos_phi * b + c
-
-
-def _ring_quadratics(ring: _Ring, n_gamma: int, r_max: float):
-    """(A, B, C) curves on which the ring boundary determinant D (see
-    :func:`_quadratic`) is real: the circle beta = e^(i*gamma), gamma in
-    (0, pi) (:func:`_ring_circle`), and the axes beta = +-e^kappa, kappa > 0,
-    times beta^-L:
-        A = 1/beta - beta^-2L beta, B = 1 - beta^-2L,
-        C = (1 + beta^-2L - 2 cos(theta L) beta^-L) (beta - 1/beta).
-    Axis roots are real-energy bound states; |E| <= 2|t| + |g| keeps them
-    below kappa = log(3 (1 + r_max)) for |r| <= r_max.  The kappa grid
-    starts at 1e-6, past the root at beta = +-1, with a spacing of at most
-    (log 3 - 1e-6) / 1999.
-    """
-    cos_theta_L = math.cos(ring.theta * ring.L)
-    gamma = np.linspace(1e-9, math.pi - 1e-9, n_gamma)
-    curves = [_ring_circle(gamma, ring.L, cos_theta_L)]
-    kappa_max = math.log(3.0 * (1.0 + r_max))
-    ratio = (kappa_max - 1e-6) / (math.log(3.0) - 1e-6)
-    kappa = np.linspace(1e-6, kappa_max, math.ceil(1999 * ratio) + 1)
-    for sign in (1.0, -1.0):
-        b = sign * np.exp(kappa)
-        binv = 1.0 / b
-        far = binv ** (2 * ring.L)
-        bracket = 1.0 + far - 2.0 * cos_theta_L * binv**ring.L
-        curves.append((binv - far * b, 1.0 - far, bracket * (b - binv)))
-    return curves
 
 
 def _sign_changes(values: np.ndarray) -> np.ndarray:
@@ -537,101 +443,6 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     signs = np.sign(values)
     signs = signs[signs != 0]
     return signs[1:] != signs[:-1]
-
-
-def _crossings(curve, r: float, phi: float) -> int:
-    """Sign changes of D along one of :func:`_ring_quadratics`' curves
-    (:func:`_sign_changes`)."""
-    return int(np.count_nonzero(_sign_changes(_quadratic(curve, r, math.cos(phi)))))
-
-
-def _real_state_counts(curves, rs: np.ndarray, phi: float) -> np.ndarray:
-    """sum(_crossings(q, r, phi) for q in curves) at every r of the
-    ascending grid ``rs``, counted for every r at once, block by block.
-
-    The grid is cut into blocks of _BLOCK consecutive r; a block's range
-    reaches to the next block's first r (the grid's last r for the last
-    block).  Fixed samples: in a block, a sample is fixed when D has one
-    sign, with |D| above the rounding bound _ROUNDING (r_max^2 |A|
-    + 2 r_max |cos(phi) B| + |C|), r_max = max |r|, at both ends of the
-    range and at the vertex cos(phi) B / A when it lies between them.  A
-    quadratic takes its extremes on an interval there, so no root of D lies
-    in the range and D has that float sign at every grid r of the block.  A
-    run of fixed samples, between two samples of K or at a curve's end, then
-    adds the same sign changes at every r, so the count at r is the count on
-    K (the live samples and their +-1 neighbours) plus one constant per
-    block: the full curve's count minus K's, at the block's first r.  K is
-    evaluated through :func:`_quadratic` with r as a column, as (r, sample)
-    arrays of at most _CELLS cells: the whole block at once unless K is
-    large.
-
-    Zero skips: exact zeros are skipped as :func:`_sign_changes` skips them,
-    so a root on a sample counts once and a touch not at all.  A fixed
-    sample is never zero, and a row of K with a zero goes through that
-    function.
-    """
-    cos_phi = math.cos(phi)
-    r_max = max(abs(rs[0]), abs(rs[-1]))
-    counts = np.zeros(len(rs), dtype=np.intp)
-    for curve in curves:
-        a, b, c = curve
-        bound = _ROUNDING * (r_max * r_max * abs(a) + 2.0 * r_max * abs(cos_phi * b) + abs(c))
-
-        def sure_sign(d: np.ndarray) -> np.ndarray:
-            """+-1 where the sign of D is sure, 0 where roundoff could flip it."""
-            return (d > bound).view(np.int8) - (d < -bound).view(np.int8)
-
-        def signs_and_count(r: float) -> tuple[np.ndarray, int]:
-            d = _quadratic(curve, r, cos_phi)
-            return sure_sign(d), np.count_nonzero(_sign_changes(d))
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = cos_phi * b / a  # not finite where A = 0: never inside a range
-            at_vertex = sure_sign(_quadratic(curve, vertex, cos_phi))
-        first_sign, first_count = signs_and_count(rs[0])
-        for start in range(0, len(rs), _BLOCK):
-            block = rs[start : start + _BLOCK]
-            r_end = rs[min(start + _BLOCK, len(rs) - 1)]
-            end_sign, end_count = signs_and_count(r_end)
-            inside = (vertex > block[0]) & (vertex < r_end)
-            fixed = (first_sign != 0) & (end_sign == first_sign)
-            fixed &= ~inside | (at_vertex == first_sign)
-            live = ~fixed
-            keep = live.copy()
-            keep[1:] |= live[:-1]
-            keep[:-1] |= live[1:]
-            k = np.flatnonzero(keep)
-            kept = (a[k], b[k], c[k])
-            on_k = np.empty(len(block), dtype=np.intp)
-            rows = max(1, _CELLS // max(len(k), 1))
-            for lo in range(0, len(block), rows):
-                d = _quadratic(kept, block[lo : lo + rows, None], cos_phi)
-                # a row without zeros changes sign where d > 0 changes
-                positive = d > 0
-                on_k[lo : lo + rows] = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
-                for row in np.flatnonzero((d == 0).any(axis=1)):
-                    on_k[lo + row] = np.count_nonzero(_sign_changes(d[row]))
-            counts[start : start + len(block)] += on_k + (first_count - on_k[0])
-            first_sign, first_count = end_sign, end_count
-    return counts
-
-
-def _broken_intervals(
-    ring: _Ring, lo: float, hi: float, n_gamma: int
-) -> tuple[tuple[float, float], ...]:
-    """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
-    real eigenstates: sign changes of D along every curve of
-    :func:`_ring_quadratics`, as :func:`_crossings` counts them at each r,
-    but counted for every r at once by :func:`_real_state_counts`.  A run
-    is reported as its first and last grid r."""
-    rs = np.linspace(lo, hi, _N_G)
-    curves = _ring_quadratics(ring, n_gamma, max(abs(lo), abs(hi)))
-    broken = _real_state_counts(curves, rs, ring.phi) < ring.L
-    # runs of broken points start at even and end after odd edges
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
-    return tuple(
-        (float(rs[a]), float(rs[b - 1])) for a, b in zip(edges[::2], edges[1::2])
-    )
 
 
 def _sign_change_roots(f, grid: np.ndarray, xtol: float) -> np.ndarray:

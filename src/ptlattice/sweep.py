@@ -1,19 +1,26 @@
 """Two-parameter phase-diagram sweeps with caching and parallel execution.
 
 A sweep instantiates the base model at every grid point of two parameter
-axes, diagonalizes it, and records a scalar metric (complex-eigenvalue
-fraction, max |Im E|, or a broken/unbroken indicator).  Results are cached
-per point on disk, keyed by a hash of the configuration, so interrupted
-sweeps resume; grids are deterministic regardless of worker count.  BLAS
-runs on one thread for the length of a sweep, so the worker pool is the
-only parallelism.
+axes and records a scalar metric (complex-eigenvalue fraction, max |Im E|,
+or a broken/unbroken indicator).  Results are cached per point on disk,
+keyed by a hash of the configuration, so interrupted sweeps resume; grids
+are deterministic regardless of worker count.
 
-Points are solved in stacks of ceil(501/L) consecutive points, one
-LAPACK call each: numpy releases the GIL for such a call only when stack
-size * L exceeds 500, and without that the pool threads would take turns.
-Every solve is values-only: the one reader of a spectrum beyond its
-classification, the open-chain continuum rule, reads eigenvalues only.
-Config values are read by ``lattice._field``, so errors name ``axis1.min``.
+Two paths fill a grid.  On a flux ring (a base model that
+``nonbloch._ring_parameters`` accepts) with the metric PCom or
+ThresholdCompare and both axes among ``flux_theta``, ``g`` and ``phi``,
+every point is counted, not solved: n_com is L less the exact number of
+real levels from ``ring_equation._real_state_counts``, one call per column of
+rings that share t, theta, phi and L.  That path builds no matrix and starts
+no pool.  Every other sweep (MaxImE, a ``t2`` axis, open chains, rings with
+other terms) diagonalizes each point: BLAS runs on one thread for the length
+of the sweep, so the worker pool is the only parallelism, and points are
+solved in stacks of ceil(501/L) consecutive points, one LAPACK call each:
+numpy releases the GIL for such a call only when stack size * L exceeds
+500, and without that the pool threads would take turns.  Every solve is
+values-only: the one reader of a spectrum beyond its classification, the
+open-chain continuum rule, reads eigenvalues only.  Config values are read
+by ``lattice._field``, so errors name ``axis1.min``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import numpy as np
 from .analysis import _continuum, classify_spectrum
 from .eigen import EigensolverError, _single_threaded_blas, solve, solve_stack
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _field, _integer, _number
+from .nonbloch import _ring_parameters
+from .ring_equation import _real_state_counts
 
 __all__ = [
     "Metric",
@@ -49,6 +58,7 @@ __all__ = [
 ]
 
 PARAMETER_PATHS = ("flux_theta", "g", "phi", "t2")
+_RING_PATHS = PARAMETER_PATHS[:3]  # the parameters that keep a flux ring a flux ring
 
 
 class Metric(enum.Enum):
@@ -200,6 +210,21 @@ def _stack_size(config: SweepConfig) -> int:
     return 500 // config.base_model.L + 1
 
 
+def _point_specs(config: SweepConfig, points: list[tuple[float, float]]) -> list[ModelSpec]:
+    """The base model at each (v1, v2) point."""
+    specs = []
+    for v1, v2 in points:
+        spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
+        specs.append(apply_parameter(spec, config.axis2.parameter, v2))
+    return specs
+
+
+def _classified_value(metric: Metric, n_com: int, L: int) -> float:
+    """PCom, n_com / L, or ThresholdCompare, 1 where PCom is positive, else 0."""
+    p_com = n_com / L
+    return (1.0 if p_com > 0 else 0.0) if metric is Metric.THRESHOLD_COMPARE else p_com
+
+
 def _chunk_metrics(
     config: SweepConfig, points: list[tuple[float, float]]
 ) -> list[tuple[float, int]]:
@@ -208,10 +233,7 @@ def _chunk_metrics(
     does not classify).  PCom counts the complex states, on an open chain
     only those of the continuum; ThresholdCompare is 1 where PCom is
     positive, else 0."""
-    specs = []
-    for v1, v2 in points:
-        spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
-        specs.append(apply_parameter(spec, config.axis2.parameter, v2))
+    specs = _point_specs(config, points)
     continuum = config.metric is not Metric.MAX_IM_E and config.base_model.boundary is Boundary.OPEN
     metrics = []
     for spec, (spectrum, scale) in zip(specs, solve_stack(specs, vectors=False)):
@@ -222,10 +244,45 @@ def _chunk_metrics(
         n_com = cls.n_com
         if continuum:
             n_com = len(_continuum(spec, spectrum, cls.complex_indices))
-        p_com = n_com / spec.L
-        value = (1.0 if p_com > 0 else 0.0) if config.metric is Metric.THRESHOLD_COMPARE else p_com
-        metrics.append((value, cls.near_cut))
+        metrics.append((_classified_value(config.metric, n_com, spec.L), cls.near_cut))
     return metrics
+
+
+def _is_flux_ring(spec: ModelSpec) -> bool:
+    """Whether ``nonbloch._ring_parameters`` accepts spec."""
+    try:
+        _ring_parameters(spec)
+    except ValueError:
+        return False
+    return True
+
+
+def _counts_rings(config: SweepConfig) -> bool:
+    """Whether :func:`run_sweep` counts the grid instead of solving it."""
+    return (
+        config.metric is not Metric.MAX_IM_E
+        and {config.axis1.parameter, config.axis2.parameter} <= set(_RING_PATHS)
+        and _is_flux_ring(config.base_model)
+    )
+
+
+def _ring_n_com(specs: list[ModelSpec]) -> list[tuple[int, bool]]:
+    """(n_com, near) of each flux ring in specs: L less its exact number of
+    real levels, and whether a near-double root set that number
+    (``ring_equation._real_state_counts``).  Rings that share t, theta, phi and
+    L are counted in one call, over their distinct ascending g/t."""
+    groups: dict = {}
+    for n, spec in enumerate(specs):
+        ring, g = _ring_parameters(spec)
+        groups.setdefault(ring, []).append((g / ring.t, n))
+    out: list = [None] * len(specs)
+    for ring, members in groups.items():
+        rs = np.array(sorted({r for r, _ in members}))
+        counts, near = _real_state_counts(ring, rs)
+        for r, n in members:
+            k = int(np.searchsorted(rs, r))
+            out[n] = (ring.L - int(counts[k]), bool(near[k]))
+    return out
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -258,21 +315,27 @@ def run_sweep(
     threads: int | None = None,
     cache_dir: str | Path | None = None,
 ) -> PhaseGrid:
-    """Fill the metric grid, in parallel, resuming from the cache if present.
+    """Fill the metric grid, resuming from the cache if present.
 
-    Eigensolver failures at single points are recorded as NaN with a
-    diagnostic message instead of aborting the sweep; ``provenance``
-    lists their ``[i, j]`` grid indices under ``nan_points`` (cached NaN
-    points included).  The pool has ``threads`` workers (the executor
-    default when None; below 1 raises ValueError before the cache is
-    read), and BLAS is pinned to one thread while it runs.
-    ``provenance`` records both: ``workers`` (0 when every point came from
-    the cache) and ``blas_threads`` (1, or None when no OpenBLAS control
-    was found).  It also records ``stack``, the points per LAPACK call,
-    and, for PCom and ThresholdCompare, ``near_cut_points``: the
-    ``[i, j]`` of points solved in this run whose classification has
-    eigenvalues near the real/complex cut (``near_cut`` > 0).  Cached
-    points are not re-solved, so they are never listed there.
+    ``provenance["path"]`` names the path that fills the points not in the
+    cache (see the module docstring): ``"count"``, the exact real-level
+    count of a flux ring, or ``"dense"``, a values-only solve of each point
+    on a pool of ``threads`` workers.  Eigensolver failures at single
+    points are recorded as NaN with a diagnostic message instead of
+    aborting the sweep; ``provenance`` lists their ``[i, j]`` grid indices
+    under ``nan_points`` (cached NaN points included).  ``threads`` below 1
+    raises ValueError before the cache is read; on the dense path the pool
+    has that many workers (the executor default when None), and BLAS is
+    pinned to one thread while it runs.  ``provenance`` records both:
+    ``workers`` (0 when no point was solved: all came from the cache, or
+    the count filled them) and ``blas_threads`` (1, or None when no
+    OpenBLAS control was found or no pool ran).  It also records
+    ``stack``, the points per LAPACK call of the dense path, and, for PCom
+    and ThresholdCompare, ``near_cut_points``: the ``[i, j]`` of points
+    filled in this run whose call is near the real/complex cut, with
+    eigenvalues near the Im cut (``near_cut`` > 0) or a real-level count
+    set by a near-double root.  Cached points are not filled again, so they
+    are never listed there.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -317,7 +380,22 @@ def run_sweep(
     near_cut_points = []
     workers = 0
     blas_threads = None
-    if chunks:
+    counted = _counts_rings(config)
+    if counted and todo:
+        points = [(float(v1s[i]), float(v2s[j])) for i, j in todo]
+        specs = _point_specs(config, points)
+        rows = [
+            (i, j, _classified_value(config.metric, n_com, spec.L), near)
+            for (i, j), spec, (n_com, near) in zip(todo, specs, _ring_n_com(specs))
+        ]
+        for i, j, val, near in rows:
+            results[(i, j)] = val
+            if near:
+                near_cut_points.append([i, j])
+        if cache_file is not None:
+            with cache_file.open("a") as fh:
+                fh.writelines(_csv_line((i, j, val)) for i, j, val, _ in rows)
+    elif chunks:
         # ThreadPoolExecutor's own default when threads is None
         workers = threads if threads is not None else min(32, (os.cpu_count() or 1) + 4)
         with _single_threaded_blas() as blas_threads, ThreadPoolExecutor(workers) as pool:
@@ -340,6 +418,7 @@ def run_sweep(
     provenance = {
         "config_hash": key,
         "version": __version__,
+        "path": "count" if counted else "dense",
         "workers": workers,
         "blas_threads": blas_threads,
         "stack": stack,
@@ -388,10 +467,17 @@ def _first_onset(
     spec: ModelSpec, parameter: str, lo: float, hi: float, steps: int
 ) -> float | None:
     """Onset of complex eigenvalues along one parameter of spec, placed as
-    in :func:`threshold_extract`.  The points of linspace(lo, hi, steps)
-    are solved in order, values only, up to the first one with a complex
-    eigenvalue (``n_com`` > 0); None when no point has one."""
+    in :func:`threshold_extract`: at the first point of
+    linspace(lo, hi, steps) with a complex eigenvalue (``n_com`` > 0); None
+    when no point has one.  On a flux ring with a parameter among
+    _RING_PATHS every point is counted at once, as :func:`run_sweep` counts
+    one; otherwise the points are solved in order, values only, up to that
+    first one."""
     values = np.linspace(lo, hi, steps)
+    if parameter in _RING_PATHS and _is_flux_ring(spec):
+        specs = [apply_parameter(spec, parameter, float(value)) for value in values]
+        broken = [j for j, (n_com, _) in enumerate(_ring_n_com(specs)) if n_com > 0]
+        return _onset_at(values, broken[0]) if broken else None
     for j, value in enumerate(values):
         spectrum, scale = solve(apply_parameter(spec, parameter, float(value)), vectors=False)
         if classify_spectrum(spectrum, scale).n_com > 0:

@@ -142,6 +142,32 @@ def test_gamma_resolution_must_be_a_number(tmp_path, capsys, value):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "subcommand, key, value, message",
+    [
+        ("spectrum", "L", "60", "L must be an integer, got '60'"),
+        ("spectrum", "flux_theta", " 0.5 ", "flux_theta must be a number, got ' 0.5 '"),
+        ("nonbloch", "gamma_resolution", "2000", "gamma_resolution must be an integer, got '2000'"),
+        ("scan", "axis1.min", "0.05", "axis1.min must be a number, got '0.05'"),
+    ],
+    ids=["L", "flux_theta", "gamma_resolution", "axis1.min"],
+)
+def test_numeric_strings_are_config_errors(tmp_path, capsys, subcommand, key, value, message):
+    # float(" 0.5 ") once read these strings as numbers
+    ring = flux_ring(24, 0.4, 0.8).to_json_dict()
+    doc = {"spectrum": ring, "nonbloch": {"model": ring}, "scan": _scan_doc()}[subcommand]
+    *parents, last = key.split(".")
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[last] = value
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def _scan_doc() -> dict:
     return {
         "base_model": flux_ring(16, 0.1, 0.5, phi=math.pi / 2).to_json_dict(),

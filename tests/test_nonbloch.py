@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ptlattice import (
     asymptotic_broken_solver,
 )
 from ptlattice.analysis import default_fit_window, fit_decay_constant, localization_constant
-from ptlattice import nonbloch
+from ptlattice import nonbloch, ring_equation
 from ptlattice.nonbloch import (
     _boundary_stack,
     _normalized_magnitude,
@@ -388,12 +389,10 @@ def test_unitary_scan_in_units_of_t(theta, phi):
 
 
 def test_crossings_through_sampled_roots():
-    from ptlattice.nonbloch import _crossings
+    from ptlattice.nonbloch import _sign_changes
 
     def count(d):
-        # at g = 0 the determinant is its constant term C
-        d = np.array(d)
-        return _crossings((np.ones_like(d), np.ones_like(d), d), 0.0, 0.0)
+        return int(np.count_nonzero(_sign_changes(np.array(d))))
 
     # a crossing through an exact-zero sample counts once, a touch not at all
     assert count([2.0, 1.0, 0.0, -1.0, -2.0]) == 1
@@ -455,10 +454,12 @@ def test_unitary_scan_rejects_a_non_integer_gamma_resolution(resolution):
 def test_unitary_scan_reads_gamma_resolution_as_the_cli_does():
     # the CLI's gamma_resolution key accepts 2000.0; the Python API once raised TypeError
     want = unitary_scan(_SCAN_PARAMS, 2000)
-    for resolution in (2000.0, "2000"):
-        got = unitary_scan(_SCAN_PARAMS, resolution)
-        np.testing.assert_array_equal(got.g_plus, want.g_plus)
-        assert got.broken_g_intervals == want.broken_g_intervals
+    got = unitary_scan(_SCAN_PARAMS, 2000.0)
+    np.testing.assert_array_equal(got.g_plus, want.g_plus)
+    assert got.broken_g_intervals == want.broken_g_intervals
+    # a string is no number, as the config reader has it
+    with pytest.raises(ValueError, match="^gamma_resolution must be an integer, got '2000'"):
+        unitary_scan(_SCAN_PARAMS, "2000")
 
 
 def test_unitary_scan_grid_shape():
@@ -469,28 +470,32 @@ def test_unitary_scan_grid_shape():
     assert len(res.discriminant_negative) == len(res.gamma_grid)
 
 
-@pytest.mark.parametrize("L, want", [(100, ((1.302, 1.5),)), (400, ((0.609, 1.5),))])
+# L = 400: the grid-bound count once began the interval at 0.609, where the
+# dense spectrum is real (n_com 0 at g = 0.606 and 0.609, 42 at 0.6105 and
+# 66 at 0.612, near_cut 0 at all four)
+@pytest.mark.parametrize("L, want", [(100, ((1.302, 1.5),)), (400, ((0.612, 1.5),))])
 def test_unitary_scan_on_the_benchmark_rings(L, want):
     # the two rings of perfbench's ring_theory workload, pinned exactly
     ring, _ = nonbloch._ring_parameters(flux_ring(L, 0.3, 0.8))
     assert unitary_scan({**vars(ring), "g_range": (0.0, 1.5)}, 2000).broken_g_intervals == want
 
 
-def test_unitary_scan_keeps_the_documented_spurious_intervals():
-    # the limitation in unitary_scan's docstring: theta L near 0, Hermitian
-    # or not, gives intervals from g = 0 where the dense spectrum is real
-    for L, theta_L, phi, g_hi, want in (
-        (25, 0.0, 0.0, 2.0, 13),
-        (24, 1e-3, math.pi / 2, 0.005, 1),
-        (100, 1e-3, math.pi / 2, 0.005, 1),
-    ):
-        params = {"t": 1.0, "g_range": (0.0, g_hi), "theta": theta_L / L, "phi": phi, "L": L}
+def test_unitary_scan_reports_no_spurious_intervals():
+    # theta L near 0, Hermitian or not, once gave intervals from g = 0 where
+    # the dense spectrum is real: two circle roots in one gamma cell cancelled
+    assert unitary_scan(
+        {"t": 1.0, "g_range": (0.0, 2.0), "theta": 0.0, "phi": 0.0, "L": 25}, 2000
+    ).broken_g_intervals == ()
+    for L in (24, 100):
+        params = {"t": 1.0, "g_range": (0.0, 0.005), "theta": 1e-3 / L, "phi": math.pi / 2, "L": L}
         intervals = unitary_scan(params, 2000).broken_g_intervals
-        assert len(intervals) == want and intervals[0][0] == 0.0
-        g = 5e-4
-        assert g <= intervals[0][1]
-        spectrum, scale = solve(flux_ring(L, theta_L / L, g, phi=phi), vectors=False)
-        assert classify_spectrum(spectrum, scale).n_com == 0
+        assert intervals
+        # the first g of the scan's grid where the dense spectrum is complex
+        for g in np.linspace(0.0, 0.005, nonbloch._N_G):
+            spectrum, scale = solve(flux_ring(L, 1e-3 / L, g, phi=math.pi / 2), vectors=False)
+            if classify_spectrum(spectrum, scale).n_com > 0:
+                break
+        assert intervals[0][0] >= g
 
 
 # sha256 of the array bytes, recorded before the ring equation got one
@@ -542,28 +547,30 @@ def test_ring_builders_match_the_complex_equation(seed):
     K = np.exp(1j * gamma * L) * bracket
     # relative to the size of the terms the curves sum
     scale = r * r + 2.0 * r * abs(cos_phi) + 2.0 + 2.0 * abs(cos_theta_L)
-    re_k = nonbloch._quadratic(nonbloch._ring_re_k(gamma, L), r, cos_phi)
-    circle = nonbloch._quadratic(nonbloch._ring_circle(gamma, L, cos_theta_L), r, cos_phi)
+    re_k = ring_equation._quadratic(ring_equation._ring_re_k(gamma, L), r, cos_phi)
+    circle = ring_equation._quadratic(ring_equation._ring_circle(gamma, L, cos_theta_L), r, cos_phi)
     np.testing.assert_allclose(re_k, K.real, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(
         circle, K.imag - 2.0 * cos_theta_L * np.sin(gamma), rtol=0.0, atol=1e-12 * scale
     )
 
 
-def _assert_blocked_count(curves, rs, phi):
-    """The blocked count equals the per-r loop it replaced, at every r."""
-    from ptlattice.nonbloch import _crossings
-
-    want = [sum(_crossings(q, r, phi) for q in curves) for r in rs]
-    assert nonbloch._real_state_counts(curves, rs, phi).tolist() == want
-
-
-def _assert_ring_count(theta, phi, L, lo, hi, gamma_resolution=2000):
+def _assert_ring_count(theta, phi, L, lo, hi, picks=12):
+    """The blocked count on the _N_G-point grid equals, at ``picks`` seeded
+    r, the count of that r alone from sure signs over every cell, and the
+    dense n_com wherever the dense call is not near its cut."""
     rs = np.linspace(lo, hi, nonbloch._N_G)
-    n_gamma = max(gamma_resolution, 50 * L)
-    ring = nonbloch._Ring(1.0, theta, phi, L)
-    curves = nonbloch._ring_quadratics(ring, n_gamma, max(abs(lo), abs(hi)))
-    _assert_blocked_count(curves, rs, phi)
+    ring = ring_equation._Ring(1.0, theta, phi, L)
+    counts, near = ring_equation._real_state_counts(ring, rs)
+    chain = ring_equation._ring_chain(ring, max(abs(lo), abs(hi)))
+    for k in np.random.default_rng(L).choice(len(rs), picks, replace=False):
+        r = float(rs[k])
+        assert (counts[k], near[k]) == ring_equation._sure_count(chain, math.cos(phi), r), r
+        # r < 0 is the ring with |r| and phase phi + pi
+        spec = flux_ring(L, theta, abs(r), phi=phi + (math.pi if r < 0 else 0.0))
+        cls = classify_spectrum(*solve(spec, vectors=False))
+        if cls.near_cut == 0 and not near[k]:
+            assert L - counts[k] == cls.n_com, r
 
 
 _HERMITIAN_THETA_L = (0.0, 1e-3, math.pi - 1e-3, math.pi, 2.0 * math.pi)
@@ -585,6 +592,9 @@ _HERMITIAN_THETA_L = (0.0, 1e-3, math.pi - 1e-3, math.pi, 2.0 * math.pi)
 )
 def test_blocked_count_on_rings(theta, phi, L, lo, hi):
     _assert_ring_count(theta, phi, L, lo, hi)
+    if phi == 0.0:  # Hermitian: every level is real, degenerate pairs included
+        ring = ring_equation._Ring(1.0, theta, phi, L)
+        assert (ring_equation._real_state_counts(ring, np.linspace(lo, hi, 41))[0] == L).all()
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -593,7 +603,7 @@ def test_blocked_count_on_random_rings(seed):
     L = int(rng.integers(3, 151))
     theta, phi = rng.uniform(-math.pi, math.pi, size=2)
     lo = rng.uniform(-2.0, 1.5)
-    _assert_ring_count(theta, phi, L, lo, lo + rng.uniform(0.05, 2.5), 1000)
+    _assert_ring_count(theta, phi, L, lo, lo + rng.uniform(0.05, 2.5), picks=4)
 
 
 def _synthetic_curves(kind, rs, rng):
@@ -622,7 +632,33 @@ def _synthetic_curves(kind, rs, rng):
     return [tuple(rng.integers(-2, 3, (3, n)).astype(float)) for _ in range(3)]
 
 
-@pytest.mark.parametrize("cells", [nonbloch._CELLS, 50], ids=["cells", "small_cells"])
+def _assert_block_certificate(curves, rs, phi):
+    """A sample that _block_extremes calls sure over a block keeps that
+    float sign, nonzero, at every r of the block: the claim that lets the
+    count skip a cell for the whole block.  Each curve stands in for D and
+    for D' at once."""
+    cos_phi = math.cos(phi)
+    for a, b, c in curves:
+        terms = np.array([(a, b, c), (a, b, c), (abs(a), abs(b), abs(c))])
+        chain = SimpleNamespace(terms=terms, u=a, steep=np.ones(len(a)))
+        for start in range(0, len(rs), ring_equation._BLOCK):
+            block = rs[start : start + ring_equation._BLOCK + 1]
+            tol = ring_equation._ROUNDING * ring_equation._bound(terms[2], max(abs(block[0]), abs(block[-1])), cos_phi)
+            extremes = ring_equation._block_extremes(chain, block[0], block[-1], cos_phi, tol)
+            for margin, keep in extremes:
+                sure = margin > 0
+                d = ring_equation._quadratic((a, b, c), block[:, None], cos_phi)
+                assert (np.sign(d[:, sure]) == keep[sure]).all()
+
+
+def _small_ring_counts(cells, monkeypatch):
+    """The count on a small ring's 81 r with each block's rows cut to
+    ``cells`` (r, cell) entries."""
+    monkeypatch.setattr(ring_equation, "_CELLS", cells)
+    return ring_equation._real_state_counts(ring_equation._Ring(1.0, 0.05, 1.0, 12), np.linspace(0.0, 2.0, 81))
+
+
+@pytest.mark.parametrize("cells", [ring_equation._CELLS, 50], ids=["cells", "small_cells"])
 @pytest.mark.parametrize("phi", [0.0, math.pi])
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize(
@@ -630,12 +666,14 @@ def _synthetic_curves(kind, rs, rng):
     ["constant_zeros", "zeros_on_grid", "double_roots", "near_double_roots", "poles", "integers"],
 )
 def test_blocked_count_on_synthetic_curves(kind, seed, phi, cells, monkeypatch):
-    # 50 cells split every block's (r, sample) array into several
-    monkeypatch.setattr(nonbloch, "_CELLS", cells)
     rng = np.random.default_rng(seed)
     # 81 points on [-2, 2]: 0, +-1/2, +-1, ... lie on the grid
     rs = np.linspace(-2.0, 2.0, 81)
-    _assert_blocked_count(_synthetic_curves(kind, rs, rng), rs, phi)
+    _assert_block_certificate(_synthetic_curves(kind, rs, rng), rs, phi)
+    # 50 cells split every block into rows of one r: the count does not move
+    want = _small_ring_counts(ring_equation._CELLS, monkeypatch)
+    got = _small_ring_counts(cells, monkeypatch)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_sign_change_roots_zero_on_a_sample():

@@ -48,6 +48,13 @@ def _small_config():
     )
 
 
+def _dense_config():
+    """_small_config's grid on its ring with a second-neighbour hopping
+    t2 = 0.01, which the ring count does not read: every point is solved."""
+    cfg = _small_config()
+    return dc_replace(cfg, base_model=apply_parameter(cfg.base_model, "t2", 0.01))
+
+
 def test_axis_spec_validation():
     with pytest.raises(ValueError):
         AxisSpec("unknown", 0.0, 1.0, 5)
@@ -250,7 +257,7 @@ def test_sweep_restores_blas_threads(monkeypatch):
     try:
         set_(2)
         before = get()
-        run_sweep(_small_config(), threads=2)
+        run_sweep(_dense_config(), threads=2)
         assert get() == before
 
         def broken(config, points):
@@ -258,7 +265,7 @@ def test_sweep_restores_blas_threads(monkeypatch):
 
         monkeypatch.setattr(sweep, "_chunk_metrics", broken)
         with pytest.raises(RuntimeError, match="worker failure"):
-            run_sweep(_small_config(), threads=2)
+            run_sweep(_dense_config(), threads=2)
         assert get() == before
     finally:
         set_(original)
@@ -275,7 +282,7 @@ def test_sweep_workers_see_one_blas_thread(monkeypatch, threads):
         return [(0.0, 0)] * len(points)
 
     monkeypatch.setattr(sweep, "_chunk_metrics", probe)
-    grid = run_sweep(_small_config(), threads=threads)
+    grid = run_sweep(_dense_config(), threads=threads)
     assert seen == [1] * 15
     assert grid.provenance["workers"] == threads
     assert grid.provenance["blas_threads"] == 1
@@ -298,7 +305,7 @@ def test_concurrent_sweeps_restore_blas_threads(monkeypatch):
     monkeypatch.setattr(sweep, "_chunk_metrics", probe)
     try:
         set_(2)
-        runners = [threading.Thread(target=run_sweep, args=(_small_config(), 1)) for _ in range(2)]
+        runners = [threading.Thread(target=run_sweep, args=(_dense_config(), 1)) for _ in range(2)]
         for t in runners:
             t.start()
         for t in runners:
@@ -311,7 +318,7 @@ def test_concurrent_sweeps_restore_blas_threads(monkeypatch):
 
 
 def test_sweep_provenance(tmp_path):
-    cfg = _small_config()
+    cfg = _dense_config()
     grid = run_sweep(cfg, threads=3, cache_dir=tmp_path)
     assert grid.provenance["workers"] == 3
     expected = None if _openblas_thread_controls() is None else 1
@@ -429,7 +436,7 @@ def test_sweep_solves_no_eigenvectors(monkeypatch):
 def test_sweep_near_cut_points(monkeypatch, tmp_path):
     # ||H||_F of the ring depends on g alone, so the patched classification
     # reports near-cut eigenvalues in the column j = 3 only
-    cfg = _small_config()
+    cfg = _dense_config()
     assert run_sweep(cfg, threads=1).provenance["near_cut_points"] == []
     marked = solve(apply_parameter(cfg.base_model, "g", float(cfg.axis2.values[3])))[1]
     original = sweep.classify_spectrum
@@ -516,7 +523,7 @@ def test_uncertain_onsets_synthetic():
 def _failing_at(monkeypatch, points):
     """Make _chunk_metrics raise EigensolverError on any chunk that holds
     one of the given (i, j) points, as one bad matrix fails its stack."""
-    cfg = _small_config()
+    cfg = _dense_config()
     bad = {(float(cfg.axis1.values[i]), float(cfg.axis2.values[j])) for i, j in points}
     original = sweep._chunk_metrics
 
@@ -538,7 +545,7 @@ def test_sweep_records_failed_points(monkeypatch, tmp_path):
     assert len(grid.diagnostics) == 2
     assert uncertain_onsets(grid) == [float(cfg.axis1.values[1])]
     assert [onset for _, onset in threshold_extract(grid)] == [
-        onset for _, onset in threshold_extract(run_sweep(_small_config(), threads=1))
+        onset for _, onset in threshold_extract(run_sweep(_dense_config(), threads=1))
     ]
 
     out = tmp_path / "o"
@@ -610,7 +617,8 @@ def _counting_solves(monkeypatch) -> list:
 
 
 def test_first_onset_stops_at_the_first_broken_point(monkeypatch):
-    spec = flux_ring(24, 0.1 / 24, 0.5)
+    # a second-neighbour hopping keeps the onset on the dense path
+    spec = apply_parameter(flux_ring(24, 0.1 / 24, 0.5), "t2", 0.01)
     gs = np.linspace(0.0, 0.4, 41)
     broken = [
         classify_spectrum(*solve(apply_parameter(spec, "g", float(g)), vectors=False)).n_com > 0
@@ -624,7 +632,7 @@ def test_first_onset_stops_at_the_first_broken_point(monkeypatch):
 
 
 def test_first_onset_at_lo_and_none(monkeypatch):
-    spec = flux_ring(24, 0.1 / 24, 0.5)  # g_c near 0.1
+    spec = apply_parameter(flux_ring(24, 0.1 / 24, 0.5), "t2", 0.01)  # g_c near 0.1, dense
     calls = _counting_solves(monkeypatch)
     assert _first_onset(spec, "g", 1.0, 2.0, 41) == 1.0
     assert len(calls) == 1
@@ -669,3 +677,134 @@ def test_sweep_diagnostics_in_grid_order(monkeypatch):
     serial = diagnostics(1)
     assert [d.split(":")[0] for d in serial] == ["point (0,1)", "point (0,7)"]
     assert diagnostics(2) == serial
+
+
+def _dense_reference(config):
+    """(values, near_cut_points) of config from the dense path,
+    _chunk_metrics, one axis-1 row at a time: the reference the ring count
+    must equal bit for bit."""
+    values, near = np.empty((config.axis1.steps, config.axis2.steps)), []
+    for i, v1 in enumerate(config.axis1.values):
+        metrics = sweep._chunk_metrics(config, [(float(v1), float(v2)) for v2 in config.axis2.values])
+        values[i] = [value for value, _ in metrics]
+        near += [[i, j] for j, (_, n) in enumerate(metrics) if n > 0]
+    return values, near
+
+
+_COUNTED_GRIDS = {
+    # perfbench's ring_scan grid: criterion 4's axes at 4 x 60
+    "ring_scan": (flux_ring(100, 0.2 / 100, 1.0), ("flux_theta", 0.2 / 100, 1.0 / 100, 4), ("g", 0.0, 1.5, 60)),
+    "criterion_10": (flux_ring(40, 0.2, 0.5), ("flux_theta", 0.05, 0.3, 4), ("g", 0.0, 1.2, 8)),
+    "phi_axis": (flux_ring(30, 0.3 / 30, 0.6), ("phi", 0.0, math.pi, 7), ("g", 0.0, 2.0, 9)),
+}
+
+
+@pytest.mark.parametrize("metric", ["PCom", "ThresholdCompare"])
+@pytest.mark.parametrize("name", sorted(_COUNTED_GRIDS))
+def test_ring_count_matches_the_dense_path(name, metric):
+    base, axis1, axis2 = _COUNTED_GRIDS[name]
+    config = SweepConfig(base, AxisSpec(*axis1), AxisSpec(*axis2), Metric(metric))
+    grid = run_sweep(config, threads=2)
+    assert grid.provenance["path"] == "count"
+    values, near = _dense_reference(config)
+    assert np.array_equal(grid.values, values)
+    assert grid.provenance["near_cut_points"] == near == []
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_ring_count_matches_the_dense_path_on_random_rings(seed):
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(6, 81))
+    theta, phi = rng.uniform(-math.pi, math.pi, size=2)
+    g_lo = rng.uniform(0.0, 1.5)
+    config = SweepConfig(
+        flux_ring(L, theta, 1.0, phi=phi),
+        AxisSpec("flux_theta", theta, theta + rng.uniform(0.1, 1.0) / L, 2),
+        AxisSpec("g", g_lo, g_lo + rng.uniform(0.1, 1.5), 5),
+        Metric.PCOM,
+    )
+    grid = run_sweep(config, threads=1)
+    values, near = _dense_reference(config)
+    clear = np.ones(values.shape, dtype=bool)
+    for i, j in near:
+        clear[i, j] = False
+    assert clear.any()
+    assert np.array_equal(grid.values[clear], values[clear])
+
+
+@pytest.mark.parametrize("theta", [0.2 / 100, 0.6 / 100, 1.0 / 100])
+def test_first_onset_counts_a_ring_as_the_dense_scan_does(theta, monkeypatch):
+    # the three flux values of perfbench's ring_theory effective task
+    from ptlattice.effective import threshold_pbc
+
+    spec = apply_parameter(flux_ring(100, 0.3, 0.8), "flux_theta", theta)
+    g_pred = threshold_pbc(100, theta, math.pi / 2, 1.0)
+    gs = np.linspace(0.0, 2.0 * g_pred, 41)
+    broken = [
+        classify_spectrum(*solve(apply_parameter(spec, "g", float(g)), vectors=False)).n_com > 0
+        for g in gs
+    ]
+    j = broken.index(True)
+    calls = _counting_solves(monkeypatch)
+    assert _first_onset(spec, "g", 0.0, 2.0 * g_pred, 41) == sweep._onset_at(gs, j)
+    assert calls == []
+
+
+def test_ring_count_calls_a_degenerate_pair_real_and_near_the_cut():
+    # theta L = 0, phi = 0 and g = 0: the clean ring's doubly degenerate levels
+    config = SweepConfig(
+        flux_ring(24, 0.0, 0.5, phi=0.0),
+        AxisSpec("flux_theta", 0.0, 0.05, 2),
+        AxisSpec("g", 0.0, 0.5, 3),
+        Metric.PCOM,
+    )
+    grid = run_sweep(config, threads=1)
+    assert grid.values[0, 0] == 0.0
+    assert [0, 0] in grid.provenance["near_cut_points"]
+    assert np.array_equal(grid.values, _dense_reference(config)[0])
+
+
+def test_ring_count_builds_no_matrix_and_starts_no_pool(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path solved or pooled")
+
+    for name in ("_chunk_metrics", "ThreadPoolExecutor", "solve_stack", "solve"):
+        monkeypatch.setattr(sweep, name, refuse)
+    cfg = _small_config()
+    grid = run_sweep(cfg, threads=3, cache_dir=tmp_path)
+    assert grid.provenance["path"] == "count"
+    assert (grid.provenance["workers"], grid.provenance["blas_threads"]) == (0, None)
+    cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
+    assert len(cache.read_text().splitlines()) == 15
+    assert run_sweep(cfg, threads=3, cache_dir=tmp_path).provenance["path"] == "count"
+    assert _first_onset(cfg.base_model, "g", 0.0, 2.0, 41) is not None
+
+
+@pytest.mark.parametrize(
+    "axis1, metric",
+    [(AxisSpec("t2", 0.0, 0.5, 2), "PCom"), (AxisSpec("g", 0.0, 1.0, 2), "MaxImE")],
+    ids=["t2_axis", "max_im_e"],
+)
+def test_rings_off_the_count_stay_dense(axis1, metric):
+    axes = (axis1, AxisSpec("phi", 0.0, 1.0, 2)) if axis1.parameter == "g" else (axis1, AxisSpec("g", 0.0, 1.0, 2))
+    grid = run_sweep(SweepConfig(flux_ring(20, 0.1, 0.5), *axes, Metric(metric)), threads=1)
+    assert grid.provenance["path"] == "dense"
+    assert grid.provenance["workers"] == 1
+
+
+def test_dense_sweep_csv_identical_across_thread_counts(tmp_path):
+    # criterion 10's identity on the dense path, which its ring grid no
+    # longer takes
+    config = SweepConfig(
+        base_model=nnn_chain(40, 1.0, 0.5, 0.5),
+        axis1=AxisSpec("t2", 0.05, 0.6, 4),
+        axis2=AxisSpec("g", 0.0, 1.6, 8),
+        metric=Metric.PCOM,
+    )
+    p1, p5 = tmp_path / "a.csv", tmp_path / "b.csv"
+    one = run_sweep(config, threads=1)
+    write_grid_csv(one, p1)
+    write_grid_csv(run_sweep(config, threads=5), p5)
+    assert one.provenance["path"] == "dense"
+    assert one.values.max() > 0
+    assert p1.read_bytes() == p5.read_bytes()
