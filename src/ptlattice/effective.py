@@ -27,7 +27,7 @@ import numpy as np
 
 from .eigen import eigvals
 from .lattice import PerturbationTerm
-from .ring_equation import _Ring
+from .nonbloch import _Ring
 
 __all__ = [
     "EffectiveBlock",
@@ -202,7 +202,7 @@ def threshold_pbc(L: int, theta: float, phi: float, t: float) -> float:
     turns negative: g_c = t L sin(theta) * min |sin k| / sqrt(-A) over modes
     with A < 0.  Returns inf when no mode can break (A >= 0 everywhere).
     These are the first-order blocks of :func:`eff_h_pbc`.  t, phi and L
-    must pass the ring record's checks (:class:`~ptlattice.ring_equation._Ring`).
+    must pass the ring record's checks (:class:`~ptlattice.nonbloch._Ring`).
     """
     sin_theta = _flux_sine(theta)
     _Ring(t, theta, phi, L)

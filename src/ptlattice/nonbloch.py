@@ -10,8 +10,8 @@ PT-breaking structure on the ring: an exact unitary (|beta| = 1) ansatz
 scan and an asymptotic large-L solver for the broken branch
 beta = exp(i*gamma + delta/L).  The scan's broken intervals come from the
 exact, solve-free count of the ring's real levels in ``ring_equation``,
-which also holds the ring record and the curves of its boundary equation
-(Yokomizo & Murakami, PRL 123, 066404 (2019)).
+which also holds the curves of its boundary equation (Yokomizo & Murakami,
+PRL 123, 066404 (2019)); the ring record :class:`_Ring` is here.
 
 The oracle is batched: N energies take one values-only :func:`eigvals`
 call on the stack of companion matrices, array-wide Newton steps, and one
@@ -42,7 +42,7 @@ from .lattice import (
     _number,
     apply_gauge_transform,
 )
-from .ring_equation import _quadratic, _real_state_counts, _Ring, _ring_circle, _ring_re_k
+from .ring_equation import _quadratic, _real_state_counts, _ring_circle, _ring_re_k
 
 __all__ = [
     "BetaRootSet",
@@ -66,6 +66,28 @@ _TIE_TOL = 1e-12  # relative |beta| gap below which two roots tie
 # off the spectrum of 1000 random models the ratio stays above 1.2e-3
 _ONE_ROOT_TOL = 1e-6
 _N_G = 501  # g/t grid of the broken-interval count
+
+
+@dataclass(frozen=True)
+class _Ring:
+    """A flux ring's hopping t, flux theta per bond, end phase phi and size
+    L, whose values are checked here alone; g stays out, as sweeps and the
+    real-level count vary it."""
+
+    t: float
+    theta: float
+    phi: float
+    L: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"t must be finite and positive, got {self.t}")
+        for key in ("theta", "phi"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {value}")
+        object.__setattr__(self, "L", _integer(self.L, "L"))
+        if self.L < 3:
+            raise ValueError(f"L must be at least 3, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -426,9 +448,11 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
 
 def _broken_intervals(ring: _Ring, lo: float, hi: float) -> tuple[tuple[float, float], ...]:
     """Runs of the _N_G-point r = g/t grid on [lo, hi] with fewer than L
-    real levels (:func:`_real_state_counts`), each as its first and last r."""
+    real levels (:func:`_real_state_counts`, a batch of this one ring), each
+    as its first and last r."""
     rs = np.linspace(lo, hi, _N_G)
-    broken = _real_state_counts(ring, rs)[0] < ring.L
+    counts, _ = _real_state_counts(ring.L, rs, math.cos(ring.phi), math.cos(ring.theta * ring.L))
+    broken = counts < ring.L
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
     return tuple(

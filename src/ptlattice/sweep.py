@@ -10,9 +10,9 @@ Two paths fill a grid.  On a flux ring (a base model that
 ``nonbloch._ring_parameters`` accepts) with the metric PCom or
 ThresholdCompare and both axes among ``flux_theta``, ``g`` and ``phi``,
 every point is counted, not solved: n_com is L less the exact number of
-real levels from ``ring_equation._real_state_counts``, one call per column of
-rings that share t, theta, phi and L.  That path builds no matrix and starts
-no pool.  Every other sweep (MaxImE, a ``t2`` axis, open chains, rings with
+real levels from ``ring_equation._real_state_counts``, one call per ring
+size L for every ring of the grid.  That path builds no matrix and starts no
+pool.  Every other sweep (MaxImE, a ``t2`` axis, open chains, rings with
 other terms) diagonalizes each point: BLAS runs on one thread for the length
 of the sweep, so the worker pool is the only parallelism, and points are
 solved in stacks of ceil(501/L) consecutive points, one LAPACK call each:
@@ -210,13 +210,11 @@ def _stack_size(config: SweepConfig) -> int:
     return 500 // config.base_model.L + 1
 
 
-def _point_specs(config: SweepConfig, points: list[tuple[float, float]]) -> list[ModelSpec]:
-    """The base model at each (v1, v2) point."""
-    specs = []
+def _point_specs(config: SweepConfig, points):
+    """The base model at each (v1, v2) point, one at a time."""
     for v1, v2 in points:
         spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
-        specs.append(apply_parameter(spec, config.axis2.parameter, v2))
-    return specs
+        yield apply_parameter(spec, config.axis2.parameter, v2)
 
 
 def _classified_value(metric: Metric, n_com: int, L: int) -> float:
@@ -233,7 +231,7 @@ def _chunk_metrics(
     does not classify).  PCom counts the complex states, on an open chain
     only those of the continuum; ThresholdCompare is 1 where PCom is
     positive, else 0."""
-    specs = _point_specs(config, points)
+    specs = list(_point_specs(config, points))
     continuum = config.metric is not Metric.MAX_IM_E and config.base_model.boundary is Boundary.OPEN
     metrics = []
     for spec, (spectrum, scale) in zip(specs, solve_stack(specs, vectors=False)):
@@ -266,22 +264,22 @@ def _counts_rings(config: SweepConfig) -> bool:
     )
 
 
-def _ring_n_com(specs: list[ModelSpec]) -> list[tuple[int, bool]]:
-    """(n_com, near) of each flux ring in specs: L less its exact number of
-    real levels, and whether a near-double root set that number
-    (``ring_equation._real_state_counts``).  Rings that share t, theta, phi and
-    L are counted in one call, over their distinct ascending g/t."""
-    groups: dict = {}
+def _ring_n_com(specs) -> list[tuple[int, bool]]:
+    """(n_com, near) of each flux ring in specs, an iterable read once: L
+    less its exact number of real levels, and whether a near-double root
+    set that number (``ring_equation._real_state_counts``).  The rings of
+    one size L are counted in one call, each as its row of g/t, cos(phi)
+    and cos(theta L)."""
+    sizes: dict = {}
     for n, spec in enumerate(specs):
         ring, g = _ring_parameters(spec)
-        groups.setdefault(ring, []).append((g / ring.t, n))
-    out: list = [None] * len(specs)
-    for ring, members in groups.items():
-        rs = np.array(sorted({r for r, _ in members}))
-        counts, near = _real_state_counts(ring, rs)
-        for r, n in members:
-            k = int(np.searchsorted(rs, r))
-            out[n] = (ring.L - int(counts[k]), bool(near[k]))
+        row = (g / ring.t, math.cos(ring.phi), math.cos(ring.theta * ring.L))
+        sizes.setdefault(ring.L, []).append((n, row))
+    out: list = [None] * sum(map(len, sizes.values()))
+    for L, members in sizes.items():
+        counts, near = _real_state_counts(L, *np.array([row for _, row in members]).T)
+        for (n, _), count, at in zip(members, counts.tolist(), near.tolist()):
+            out[n] = (L - count, at)
     return out
 
 
@@ -382,11 +380,11 @@ def run_sweep(
     blas_threads = None
     counted = _counts_rings(config)
     if counted and todo:
-        points = [(float(v1s[i]), float(v2s[j])) for i, j in todo]
-        specs = _point_specs(config, points)
+        # the axes keep L; the specs are made one at a time, as the count reads them
+        specs = _point_specs(config, ((float(v1s[i]), float(v2s[j])) for i, j in todo))
         rows = [
-            (i, j, _classified_value(config.metric, n_com, spec.L), near)
-            for (i, j), spec, (n_com, near) in zip(todo, specs, _ring_n_com(specs))
+            (i, j, _classified_value(config.metric, n_com, config.base_model.L), near)
+            for (i, j), (n_com, near) in zip(todo, _ring_n_com(specs))
         ]
         for i, j, val, near in rows:
             results[(i, j)] = val

@@ -560,12 +560,12 @@ def _assert_ring_count(theta, phi, L, lo, hi, picks=12):
     r, the count of that r alone from sure signs over every cell, and the
     dense n_com wherever the dense call is not near its cut."""
     rs = np.linspace(lo, hi, nonbloch._N_G)
-    ring = ring_equation._Ring(1.0, theta, phi, L)
-    counts, near = ring_equation._real_state_counts(ring, rs)
-    chain = ring_equation._ring_chain(ring, max(abs(lo), abs(hi)))
+    cos_phi, cos_theta_L = math.cos(phi), math.cos(theta * L)
+    counts, near = ring_equation._real_state_counts(L, rs, cos_phi, cos_theta_L)
+    chain = ring_equation._ring_chain(L, max(abs(lo), abs(hi)), cos_theta_L)
     for k in np.random.default_rng(L).choice(len(rs), picks, replace=False):
         r = float(rs[k])
-        assert (counts[k], near[k]) == ring_equation._sure_count(chain, math.cos(phi), r), r
+        assert (counts[k], near[k]) == ring_equation._sure_count(chain, cos_phi, r), r
         # r < 0 is the ring with |r| and phase phi + pi
         spec = flux_ring(L, theta, abs(r), phi=phi + (math.pi if r < 0 else 0.0))
         cls = classify_spectrum(*solve(spec, vectors=False))
@@ -593,8 +593,9 @@ _HERMITIAN_THETA_L = (0.0, 1e-3, math.pi - 1e-3, math.pi, 2.0 * math.pi)
 def test_blocked_count_on_rings(theta, phi, L, lo, hi):
     _assert_ring_count(theta, phi, L, lo, hi)
     if phi == 0.0:  # Hermitian: every level is real, degenerate pairs included
-        ring = ring_equation._Ring(1.0, theta, phi, L)
-        assert (ring_equation._real_state_counts(ring, np.linspace(lo, hi, 41))[0] == L).all()
+        rs = np.linspace(lo, hi, 41)
+        counts, _ = ring_equation._real_state_counts(L, rs, math.cos(phi), math.cos(theta * L))
+        assert (counts == L).all()
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -604,6 +605,35 @@ def test_blocked_count_on_random_rings(seed):
     theta, phi = rng.uniform(-math.pi, math.pi, size=2)
     lo = rng.uniform(-2.0, 1.5)
     _assert_ring_count(theta, phi, L, lo, lo + rng.uniform(0.05, 2.5), picks=4)
+
+
+def _random_rows(seed):
+    """A seeded batch of flux rings of one size L in 6..80: a few rings
+    (theta, phi), each with a few g/t of either sign and one g = 0 row,
+    read with phi = 0 as ``nonbloch._ring_parameters`` reads it."""
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(6, 81))
+    rows = []
+    for theta, phi in rng.uniform(-math.pi, math.pi, size=(int(rng.integers(2, 5)), 2)):
+        cos_phi, cos_theta_L = math.cos(phi), math.cos(theta * L)
+        rs = rng.uniform(-2.0, 2.0, int(rng.integers(1, 12)))
+        rows += [(r, cos_phi, cos_theta_L) for r in rs]
+        rows.append((0.0, 1.0, cos_theta_L))
+    rng.shuffle(rows)
+    return L, np.array(rows).T
+
+
+@pytest.mark.parametrize("cells", [ring_equation._CELLS, 64], ids=["cells", "small_cells"])
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_count_equals_each_ring_alone(seed, cells, monkeypatch):
+    L, rows = _random_rows(seed)
+    alone = [ring_equation._real_state_counts(L, *row[:, None]) for row in rows.T]
+    # 64 cells give passes of one row and refine at most 4 cells (or one
+    # pass's) at once, so that the rings of the batch are counted and refined apart
+    monkeypatch.setattr(ring_equation, "_CELLS", cells)
+    counts, near = ring_equation._real_state_counts(L, *rows)
+    assert counts.tolist() == [int(count[0]) for count, _ in alone]
+    assert near.tolist() == [bool(n[0]) for _, n in alone]
 
 
 def _synthetic_curves(kind, rs, rng):
@@ -655,7 +685,8 @@ def _small_ring_counts(cells, monkeypatch):
     """The count on a small ring's 81 r with each block's rows cut to
     ``cells`` (r, cell) entries."""
     monkeypatch.setattr(ring_equation, "_CELLS", cells)
-    return ring_equation._real_state_counts(ring_equation._Ring(1.0, 0.05, 1.0, 12), np.linspace(0.0, 2.0, 81))
+    rs = np.linspace(0.0, 2.0, 81)
+    return ring_equation._real_state_counts(12, rs, math.cos(1.0), math.cos(0.05 * 12))
 
 
 @pytest.mark.parametrize("cells", [ring_equation._CELLS, 50], ids=["cells", "small_cells"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from ptlattice import (
     run_sweep,
     threshold_extract,
 )
-from ptlattice import sweep
+from ptlattice import ring_equation, sweep
 from ptlattice.analysis import classify_spectrum, detect_bound_states
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve, solve_stack
@@ -778,6 +779,58 @@ def test_ring_count_builds_no_matrix_and_starts_no_pool(monkeypatch, tmp_path):
     assert len(cache.read_text().splitlines()) == 15
     assert run_sweep(cfg, threads=3, cache_dir=tmp_path).provenance["path"] == "count"
     assert _first_onset(cfg.base_model, "g", 0.0, 2.0, 41) is not None
+
+
+def _counting(monkeypatch, module, name):
+    """Calls of module.name, which keeps working, as a list of their arguments."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, blocks",
+    [
+        # 4 rings of 60 g, the g = 0 point of each (read with phi = 0) among
+        # them: 2 blocks each, where a g = 0 ring of its own would add 4
+        (_COUNTED_GRIDS["ring_scan"], 8),
+        # 3 rings of phi, 2 g > 0 each, and the g = 0 column in the last one
+        ((flux_ring(24, 0.4, 0.8), ("phi", 0.5, 2.5, 3), ("g", 0.0, 1.0, 3)), 3),
+    ],
+    ids=["ring_scan", "phi_g"],
+)
+def test_ring_count_makes_one_call_per_ring_size(grid, blocks, monkeypatch):
+    calls = _counting(monkeypatch, sweep, "_real_state_counts")
+    extremes = _counting(monkeypatch, ring_equation, "_block_extremes")
+    base, axis1, axis2 = grid
+    config = SweepConfig(base, AxisSpec(*axis1), AxisSpec(*axis2), Metric.PCOM)
+    assert run_sweep(config).provenance["path"] == "count"
+    assert [(L, len(r)) for L, r, *_ in calls] == [(base.L, axis1[3] * axis2[3])]
+    assert len(extremes) == blocks
+
+
+# sha256 of criterion 4's count grid, recorded when every ring of a grid got
+# its own count call
+_CRITERION_04_GRID = "402136f028dde9f70c58c7516e3f6ebb2bf502b7188dc29110ac620a6e45eb97"
+
+
+def test_criterion_04_count_grid_keeps_its_bits():
+    L = 100
+    config = SweepConfig(
+        flux_ring(L, 0.2 / L, 1.0, phi=math.pi / 2),
+        AxisSpec("flux_theta", 0.2 / L, 1.0 / L, 40),
+        AxisSpec("g", 0.0, 1.5, 60),
+        Metric.PCOM,
+    )
+    grid = run_sweep(config)
+    assert grid.provenance["path"] == "count"
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == _CRITERION_04_GRID
+    assert grid.provenance["near_cut_points"] == []
 
 
 @pytest.mark.parametrize(
