@@ -210,7 +210,7 @@ def _cmd_effective(doc: dict, out: Path, args) -> tuple[str, dict]:
         g_obs, rel = None, math.nan
         if math.isfinite(g_pred) and g_pred > 0:
             spec = apply_parameter(base, "flux_theta", theta)
-            g_obs = _first_onset(spec, "g", 0.0, 2.0 * g_pred, 41)
+            g_obs = _first_onset(spec, 0.0, 2.0 * g_pred, 41)
             if g_obs is not None:
                 rel = abs(g_obs - g_pred) / g_pred
         rows.append((theta, ring.phi, g_pred, g_printed, _or_no_onset(g_obs), rel))

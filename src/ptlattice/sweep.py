@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _continuum, classify_spectrum
-from .eigen import EigensolverError, _single_threaded_blas, solve, solve_stack
+from .eigen import EigensolverError, _single_threaded_blas, solve_stack
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _field, _integer, _number
 from .nonbloch import _ring_parameters
 from .ring_equation import _real_state_counts
@@ -211,10 +211,13 @@ def _stack_size(config: SweepConfig) -> int:
 
 
 def _point_specs(config: SweepConfig, points):
-    """The base model at each (v1, v2) point, one at a time."""
+    """The base model at each (v1, v2) point, one at a time; the axis-1
+    model is built once per run of consecutive points with the same v1."""
+    row_v1 = row = None
     for v1, v2 in points:
-        spec = apply_parameter(config.base_model, config.axis1.parameter, v1)
-        yield apply_parameter(spec, config.axis2.parameter, v2)
+        if v1 != row_v1:
+            row_v1, row = v1, apply_parameter(config.base_model, config.axis1.parameter, v1)
+        yield apply_parameter(row, config.axis2.parameter, v2)
 
 
 def _classified_value(metric: Metric, n_com: int, L: int) -> float:
@@ -246,22 +249,18 @@ def _chunk_metrics(
     return metrics
 
 
-def _is_flux_ring(spec: ModelSpec) -> bool:
-    """Whether ``nonbloch._ring_parameters`` accepts spec."""
+def _counts_rings(config: SweepConfig) -> bool:
+    """Whether :func:`run_sweep` counts the grid instead of solving it: a
+    classifying metric, both axes among _RING_PATHS and a base model that
+    ``nonbloch._ring_parameters`` accepts."""
+    axes = {config.axis1.parameter, config.axis2.parameter}
+    if config.metric is Metric.MAX_IM_E or not axes <= set(_RING_PATHS):
+        return False
     try:
-        _ring_parameters(spec)
+        _ring_parameters(config.base_model)
     except ValueError:
         return False
     return True
-
-
-def _counts_rings(config: SweepConfig) -> bool:
-    """Whether :func:`run_sweep` counts the grid instead of solving it."""
-    return (
-        config.metric is not Metric.MAX_IM_E
-        and {config.axis1.parameter, config.axis2.parameter} <= set(_RING_PATHS)
-        and _is_flux_ring(config.base_model)
-    )
 
 
 def _ring_n_com(specs) -> list[tuple[int, bool]]:
@@ -376,16 +375,10 @@ def run_sweep(
 
     results = dict(cached)
     near_cut_points = []
-    workers = 0
-    blas_threads = None
-    counted = _counts_rings(config)
-    if counted and todo:
-        # the axes keep L; the specs are made one at a time, as the count reads them
-        specs = _point_specs(config, ((float(v1s[i]), float(v2s[j])) for i, j in todo))
-        rows = [
-            (i, j, _classified_value(config.metric, n_com, config.base_model.L), near)
-            for (i, j), (n_com, near) in zip(todo, _ring_n_com(specs))
-        ]
+
+    def record(rows: list[tuple[int, int, float, int]]) -> None:
+        """Store the (i, j, metric, near) rows, list the near ones and
+        append the rows to the cache."""
         for i, j, val, near in rows:
             results[(i, j)] = val
             if near:
@@ -393,6 +386,17 @@ def run_sweep(
         if cache_file is not None:
             with cache_file.open("a") as fh:
                 fh.writelines(_csv_line((i, j, val)) for i, j, val, _ in rows)
+
+    workers = 0
+    blas_threads = None
+    counted = _counts_rings(config)
+    if counted and todo:
+        # the axes keep L; the specs are made one at a time, as the count reads them
+        specs = _point_specs(config, ((float(v1s[i]), float(v2s[j])) for i, j in todo))
+        record([
+            (i, j, _classified_value(config.metric, n_com, config.base_model.L), near)
+            for (i, j), (n_com, near) in zip(todo, _ring_n_com(specs))
+        ])
     elif chunks:
         # ThreadPoolExecutor's own default when threads is None
         workers = threads if threads is not None else min(32, (os.cpu_count() or 1) + 4)
@@ -400,13 +404,7 @@ def run_sweep(
             # map yields in chunk order, so diagnostics do not depend on timing
             for rows, notes in pool.map(worker, chunks):
                 diagnostics.extend(notes)
-                for i, j, val, near in rows:
-                    results[(i, j)] = val
-                    if near > 0:
-                        near_cut_points.append([i, j])
-                if cache_file is not None:
-                    with cache_file.open("a") as fh:
-                        fh.writelines(_csv_line((i, j, val)) for i, j, val, _ in rows)
+                record(rows)
 
     grid = np.full((len(v1s), len(v2s)), math.nan)
     for i, j in np.ndindex(grid.shape):
@@ -461,26 +459,17 @@ def _onset_at(values: np.ndarray, j: int) -> float:
     return float(values[0]) if j == 0 else float(0.5 * (values[j - 1] + values[j]))
 
 
-def _first_onset(
-    spec: ModelSpec, parameter: str, lo: float, hi: float, steps: int
-) -> float | None:
-    """Onset of complex eigenvalues along one parameter of spec, placed as
+def _first_onset(spec: ModelSpec, lo: float, hi: float, steps: int) -> float | None:
+    """Onset of complex eigenvalues along g of the flux ring spec, placed as
     in :func:`threshold_extract`: at the first point of
-    linspace(lo, hi, steps) with a complex eigenvalue (``n_com`` > 0); None
-    when no point has one.  On a flux ring with a parameter among
-    _RING_PATHS every point is counted at once, as :func:`run_sweep` counts
-    one; otherwise the points are solved in order, values only, up to that
-    first one."""
+    linspace(lo, hi, steps) with ``n_com`` > 0, every point counted in one
+    :func:`_ring_n_com` call, as :func:`run_sweep` counts a grid; None when
+    no point has one.  A model that ``nonbloch._ring_parameters`` rejects
+    raises its ValueError."""
     values = np.linspace(lo, hi, steps)
-    if parameter in _RING_PATHS and _is_flux_ring(spec):
-        specs = [apply_parameter(spec, parameter, float(value)) for value in values]
-        broken = [j for j, (n_com, _) in enumerate(_ring_n_com(specs)) if n_com > 0]
-        return _onset_at(values, broken[0]) if broken else None
-    for j, value in enumerate(values):
-        spectrum, scale = solve(apply_parameter(spec, parameter, float(value)), vectors=False)
-        if classify_spectrum(spectrum, scale).n_com > 0:
-            return _onset_at(values, j)
-    return None
+    counts = _ring_n_com(apply_parameter(spec, "g", float(value)) for value in values)
+    broken = [j for j, (n_com, _) in enumerate(counts) if n_com > 0]
+    return _onset_at(values, broken[0]) if broken else None
 
 
 def uncertain_onsets(grid: PhaseGrid) -> list[float]:

@@ -32,7 +32,7 @@ from ptlattice.sweep import (
     uncertain_onsets,
     write_grid_csv,
 )
-from conftest import flux_ring, nnn_chain
+from conftest import flux_ring, nnn_chain, not_rings
 
 needs_openblas = pytest.mark.skipif(
     _openblas_thread_controls() is None, reason="no OpenBLAS thread control found in numpy"
@@ -603,42 +603,32 @@ def test_first_onset_matches_threshold_extract():
     assert all(onset is not None for _, onset in onsets)
     for theta, onset in onsets:
         spec = apply_parameter(cfg.base_model, "flux_theta", theta)
-        assert _first_onset(spec, "g", 0.0, 2.0, 41) == onset
+        assert _first_onset(spec, 0.0, 2.0, 41) == onset
 
 
-def _counting_solves(monkeypatch) -> list:
-    calls = []
+def _refusing(monkeypatch, *names):
+    """Replace each sweep.name with a function that fails the test when called."""
 
-    def counted(spec, **kwargs):
-        calls.append(kwargs)
-        return solve(spec, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count path solved or pooled")
 
-    monkeypatch.setattr(sweep, "solve", counted)
-    return calls
-
-
-def test_first_onset_stops_at_the_first_broken_point(monkeypatch):
-    # a second-neighbour hopping keeps the onset on the dense path
-    spec = apply_parameter(flux_ring(24, 0.1 / 24, 0.5), "t2", 0.01)
-    gs = np.linspace(0.0, 0.4, 41)
-    broken = [
-        classify_spectrum(*solve(apply_parameter(spec, "g", float(g)), vectors=False)).n_com > 0
-        for g in gs
-    ]
-    j = broken.index(True)
-    assert j > 0
-    calls = _counting_solves(monkeypatch)
-    assert _first_onset(spec, "g", 0.0, 0.4, 41) == 0.5 * (gs[j - 1] + gs[j])
-    assert calls == [{"vectors": False}] * (j + 1)
+    for name in names:
+        monkeypatch.setattr(sweep, name, refuse)
 
 
 def test_first_onset_at_lo_and_none(monkeypatch):
-    spec = apply_parameter(flux_ring(24, 0.1 / 24, 0.5), "t2", 0.01)  # g_c near 0.1, dense
-    calls = _counting_solves(monkeypatch)
-    assert _first_onset(spec, "g", 1.0, 2.0, 41) == 1.0
-    assert len(calls) == 1
-    assert _first_onset(spec, "g", 0.0, 0.05, 41) is None
-    assert len(calls) == 1 + 41
+    spec = flux_ring(24, 0.1 / 24, 0.5)  # g_c near 0.1
+    _refusing(monkeypatch, "solve_stack", "_chunk_metrics")
+    assert _first_onset(spec, 1.0, 2.0, 41) == 1.0
+    assert _first_onset(spec, 0.0, 0.05, 41) is None
+
+
+@pytest.mark.parametrize("name", ["t2_ring", "open_nnn_chain"])
+def test_first_onset_rejects_a_model_that_is_no_flux_ring(name):
+    spec, reason = not_rings()[name]
+    with pytest.raises(ValueError, match="ring theory needs") as exc:
+        _first_onset(spec, 0.0, 2.0, 41)
+    assert reason in str(exc.value)
 
 
 def test_csv_line():
@@ -746,9 +736,8 @@ def test_first_onset_counts_a_ring_as_the_dense_scan_does(theta, monkeypatch):
         for g in gs
     ]
     j = broken.index(True)
-    calls = _counting_solves(monkeypatch)
-    assert _first_onset(spec, "g", 0.0, 2.0 * g_pred, 41) == sweep._onset_at(gs, j)
-    assert calls == []
+    _refusing(monkeypatch, "solve_stack", "_chunk_metrics")
+    assert _first_onset(spec, 0.0, 2.0 * g_pred, 41) == sweep._onset_at(gs, j)
 
 
 def test_ring_count_calls_a_degenerate_pair_real_and_near_the_cut():
@@ -766,11 +755,7 @@ def test_ring_count_calls_a_degenerate_pair_real_and_near_the_cut():
 
 
 def test_ring_count_builds_no_matrix_and_starts_no_pool(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the count path solved or pooled")
-
-    for name in ("_chunk_metrics", "ThreadPoolExecutor", "solve_stack", "solve"):
-        monkeypatch.setattr(sweep, name, refuse)
+    _refusing(monkeypatch, "_chunk_metrics", "ThreadPoolExecutor", "solve_stack")
     cfg = _small_config()
     grid = run_sweep(cfg, threads=3, cache_dir=tmp_path)
     assert grid.provenance["path"] == "count"
@@ -778,7 +763,7 @@ def test_ring_count_builds_no_matrix_and_starts_no_pool(monkeypatch, tmp_path):
     cache = tmp_path / f"sweep_{config_hash(cfg)}.csv"
     assert len(cache.read_text().splitlines()) == 15
     assert run_sweep(cfg, threads=3, cache_dir=tmp_path).provenance["path"] == "count"
-    assert _first_onset(cfg.base_model, "g", 0.0, 2.0, 41) is not None
+    assert _first_onset(cfg.base_model, 0.0, 2.0, 41) is not None
 
 
 def _counting(monkeypatch, module, name):
@@ -812,6 +797,21 @@ def test_ring_count_makes_one_call_per_ring_size(grid, blocks, monkeypatch):
     assert run_sweep(config).provenance["path"] == "count"
     assert [(L, len(r)) for L, r, *_ in calls] == [(base.L, axis1[3] * axis2[3])]
     assert len(extremes) == blocks
+
+
+def test_point_specs_build_each_axis_1_model_once_per_row(monkeypatch):
+    base, axis1, axis2 = _COUNTED_GRIDS["ring_scan"]
+    config = SweepConfig(base, AxisSpec(*axis1), AxisSpec(*axis2), Metric.PCOM)
+    points = [(float(v1), float(v2)) for v1 in config.axis1.values for v2 in config.axis2.values]
+    expected = [
+        apply_parameter(apply_parameter(base, "flux_theta", v1), "g", v2) for v1, v2 in points
+    ]
+    calls = _counting(monkeypatch, sweep, "apply_parameter")
+    assert list(sweep._point_specs(config, points)) == expected
+    assert len(calls) == 4 + 240
+    calls.clear()
+    assert run_sweep(config).provenance["path"] == "count"
+    assert len(calls) == 4 + 240
 
 
 # sha256 of criterion 4's count grid, recorded when every ring of a grid got
