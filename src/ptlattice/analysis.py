@@ -95,9 +95,10 @@ def classify_spectrum(
     spectrum: Spectrum, scale: float, tol_imag: float | None = None
 ) -> SpectrumClassification:
     """Split eigenvalues into real and complex at tol_imag = 1e-8 * scale.
-    An explicit tol_imag must be finite and non-negative."""
-    if scale <= 0:
-        raise ValueError("scale must be positive (pass the Frobenius norm)")
+    scale must be finite and positive, and an explicit tol_imag finite and
+    non-negative."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive (pass the Frobenius norm), got {scale}")
     tol = IMAG_CUT_FACTOR * scale if tol_imag is None else float(tol_imag)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol_imag must be finite and non-negative, got {tol_imag}")

@@ -89,6 +89,11 @@ class _Ring:
         if self.L < 3:
             raise ValueError(f"L must be at least 3, got {self.L}")
 
+    @property
+    def cosines(self) -> tuple[float, float]:
+        """(cos(phi), cos(theta L)), the ring's part of every count row."""
+        return math.cos(self.phi), math.cos(self.theta * self.L)
+
 
 @dataclass(frozen=True)
 class BetaRootSet:
@@ -425,7 +430,7 @@ def unitary_scan(params: dict, gamma_resolution: int) -> UnitaryScanResult:
     g_lo, g_hi = g_range
 
     gamma = np.linspace(0.0, 2.0 * math.pi, gamma_resolution)
-    A, B, C = _ring_circle(gamma, ring.L, math.cos(ring.theta * ring.L))
+    A, B, C = _ring_circle(gamma, ring.L, ring.cosines[1])
     pole = np.abs(A) < _POLE_TOL
     a = np.cos(ring.phi) * B
     disc = a**2 - A * C
@@ -451,7 +456,7 @@ def _broken_intervals(ring: _Ring, lo: float, hi: float) -> tuple[tuple[float, f
     real levels (:func:`_real_state_counts`, a batch of this one ring), each
     as its first and last r."""
     rs = np.linspace(lo, hi, _N_G)
-    counts, _ = _real_state_counts(ring.L, rs, math.cos(ring.phi), math.cos(ring.theta * ring.L))
+    counts, _ = _real_state_counts(ring.L, rs, *ring.cosines)
     broken = counts < ring.L
     # runs of broken points start at even and end after odd edges
     edges = np.flatnonzero(np.diff(np.concatenate(([0], broken, [0]))))
@@ -541,8 +546,8 @@ def asymptotic_broken_solver(spec: ModelSpec) -> list[tuple[float, float]]:
     Empty when the model is PT-unbroken.
     """
     ring, g = _ring_parameters(spec)
-    r, cos_phi, L = g / ring.t, math.cos(ring.phi), ring.L
-    cos_theta_L = math.cos(ring.theta * L)
+    r, L = g / ring.t, ring.L
+    cos_phi, cos_theta_L = ring.cosines
 
     def re_k(gm: np.ndarray) -> np.ndarray:
         return _quadratic(_ring_re_k(gm, L), r, cos_phi)

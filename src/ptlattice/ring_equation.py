@@ -8,8 +8,8 @@ gamma, each with one builder here (``_ring_circle``, ``_ring_re_k``).
 ``_real_state_counts`` counts the real levels of many rings of one size L
 in one call, each a row of r, cos(phi) and cos(theta L), without a solve
 and each root certified (Yokomizo & Murakami, PRL 123, 066404 (2019));
-``nonbloch.unitary_scan`` (a batch of one ring) and the ring sweeps of
-``sweep`` (one call per L) read it.
+``nonbloch.unitary_scan`` (a batch of one ring) and ``sweep``'s ring
+sweeps and onset scan (one call each) read it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ _CIRCLE_SAMPLES = 10
 _AXIS_SAMPLES = 2
 _EDGE = 0.01  # the edge zones reach gamma, kappa = _EDGE / L from beta = +-1
 _FLOOR = 1e-13  # width at which an undecided cell holds a near-double root
+# the largest |r| counted: the edge zones' bound on |p''|, about L^5 r^2 / 7.5,
+# overflows near r = 1e150 at L = 100, and no cell is certified after it; at
+# 1e100 every term stays finite for L below 1e21
+_R_MAX = 1e100
 
 
 # The flux ring's boundary equation in units of t, r = g/t: with
@@ -348,7 +352,7 @@ def _real_state_counts(L: int, r, cos_phi, cos_theta_L) -> tuple[np.ndarray, np.
     whether a near-double root set it.  All rows read one chain
     (:func:`_ring_chain`, up to the largest |r|), whose terms are built once
     per distinct cos(theta L); the rows that share cos(theta L) and cos(phi)
-    are one ring's r.
+    are one ring's r.  |r| above _R_MAX raises ValueError.
 
     The count is exact: every cell it counts is certified
     (:func:`_certified`) to hold no root, or to be monotone, so that it
@@ -380,10 +384,12 @@ def _real_state_counts(L: int, r, cos_phi, cos_theta_L) -> tuple[np.ndarray, np.
     (:func:`_span_count`), which also sets its ``near``.
     """
     r, cos_phi, c = np.array(np.broadcast_arrays(r, cos_phi, cos_theta_L), dtype=float)
+    if not (r_max := float(np.abs(r).max())) <= _R_MAX:
+        raise ValueError(f"the real-level count needs |g/t| <= {_R_MAX:.0e}, got {r_max:.6g}")
     cos_phi[r == 0] = cos_phi[r != 0].min(initial=1.0)
     order = np.lexsort((r, cos_phi, c))
     cuts = np.flatnonzero((np.diff(c[order]) != 0) | (np.diff(cos_phi[order]) != 0)) + 1
-    chain = _ring_chain(L, float(np.abs(r).max()), c[order[0]])
+    chain = _ring_chain(L, r_max, c[order[0]])
     counts = np.zeros(len(r), dtype=np.intp)
     near, slow = np.zeros((2, len(r)), dtype=bool)
     pending: list = []

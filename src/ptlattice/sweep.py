@@ -8,10 +8,11 @@ are deterministic regardless of worker count.
 
 Two paths fill a grid.  On a flux ring (a base model that
 ``nonbloch._ring_parameters`` accepts) with the metric PCom or
-ThresholdCompare and both axes among ``flux_theta``, ``g`` and ``phi``,
-every point is counted, not solved: n_com is L less the exact number of
-real levels from ``ring_equation._real_state_counts``, one call per ring
-size L for every ring of the grid.  That path builds no matrix and starts no
+ThresholdCompare, both axes among ``flux_theta``, ``g`` and ``phi`` and
+|g/t| within the count's bound, every point is counted, not solved: n_com
+is L less the exact number of real levels from
+``ring_equation._real_state_counts``, one call for every ring of the grid,
+as the axes keep L.  That path builds no matrix and starts no
 pool.  Every other sweep (MaxImE, a ``t2`` axis, open chains, rings with
 other terms) diagonalizes each point: BLAS runs on one thread for the length
 of the sweep, so the worker pool is the only parallelism, and points are
@@ -41,7 +42,7 @@ from .analysis import _continuum, classify_spectrum
 from .eigen import EigensolverError, _single_threaded_blas, solve_stack
 from .lattice import Boundary, HoppingSet, ModelSpec, PerturbationTerm, _field, _integer, _number
 from .nonbloch import _ring_parameters
-from .ring_equation import _real_state_counts
+from .ring_equation import _R_MAX, _real_state_counts
 
 __all__ = [
     "Metric",
@@ -251,35 +252,29 @@ def _chunk_metrics(
 
 def _counts_rings(config: SweepConfig) -> bool:
     """Whether :func:`run_sweep` counts the grid instead of solving it: a
-    classifying metric, both axes among _RING_PATHS and a base model that
-    ``nonbloch._ring_parameters`` accepts."""
-    axes = {config.axis1.parameter, config.axis2.parameter}
-    if config.metric is Metric.MAX_IM_E or not axes <= set(_RING_PATHS):
+    classifying metric, both axes among _RING_PATHS, a base model that
+    ``nonbloch._ring_parameters`` accepts and no g/t above the count's
+    bound ``ring_equation._R_MAX``."""
+    axes = (config.axis1, config.axis2)
+    if config.metric is Metric.MAX_IM_E or not {a.parameter for a in axes} <= set(_RING_PATHS):
         return False
     try:
-        _ring_parameters(config.base_model)
+        ring, g = _ring_parameters(config.base_model)
     except ValueError:
         return False
-    return True
+    top = max((max(abs(a.min), abs(a.max)) for a in axes if a.parameter == "g"), default=g)
+    # a point's g is rebuilt from these values and may lie a few ulps above them
+    return top / ring.t <= _R_MAX * (1.0 - 1e-12)
 
 
-def _ring_n_com(specs) -> list[tuple[int, bool]]:
-    """(n_com, near) of each flux ring in specs, an iterable read once: L
-    less its exact number of real levels, and whether a near-double root
-    set that number (``ring_equation._real_state_counts``).  The rings of
-    one size L are counted in one call, each as its row of g/t, cos(phi)
-    and cos(theta L)."""
-    sizes: dict = {}
-    for n, spec in enumerate(specs):
-        ring, g = _ring_parameters(spec)
-        row = (g / ring.t, math.cos(ring.phi), math.cos(ring.theta * ring.L))
-        sizes.setdefault(ring.L, []).append((n, row))
-    out: list = [None] * sum(map(len, sizes.values()))
-    for L, members in sizes.items():
-        counts, near = _real_state_counts(L, *np.array([row for _, row in members]).T)
-        for (n, _), count, at in zip(members, counts.tolist(), near.tolist()):
-            out[n] = (L - count, at)
-    return out
+def _ring_n_com(L: int, specs) -> list[tuple[int, bool]]:
+    """(n_com, near) of each flux ring of size L in specs, an iterable read
+    once: L less its exact number of real levels, and whether a near-double
+    root set that number, all counted in one ``_real_state_counts`` call,
+    each as its row of g/t and ``_Ring.cosines``."""
+    rows = [(g / ring.t, *ring.cosines) for ring, g in map(_ring_parameters, specs)]
+    counts, near = _real_state_counts(L, *np.array(rows).T)
+    return [(L - count, at) for count, at in zip(counts.tolist(), near.tolist())]
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -395,7 +390,7 @@ def run_sweep(
         specs = _point_specs(config, ((float(v1s[i]), float(v2s[j])) for i, j in todo))
         record([
             (i, j, _classified_value(config.metric, n_com, config.base_model.L), near)
-            for (i, j), (n_com, near) in zip(todo, _ring_n_com(specs))
+            for (i, j), (n_com, near) in zip(todo, _ring_n_com(config.base_model.L, specs))
         ])
     elif chunks:
         # ThreadPoolExecutor's own default when threads is None
@@ -462,14 +457,15 @@ def _onset_at(values: np.ndarray, j: int) -> float:
 def _first_onset(spec: ModelSpec, lo: float, hi: float, steps: int) -> float | None:
     """Onset of complex eigenvalues along g of the flux ring spec, placed as
     in :func:`threshold_extract`: at the first point of
-    linspace(lo, hi, steps) with ``n_com`` > 0, every point counted in one
-    :func:`_ring_n_com` call, as :func:`run_sweep` counts a grid; None when
-    no point has one.  A model that ``nonbloch._ring_parameters`` rejects
-    raises its ValueError."""
+    linspace(lo, hi, steps) with ``n_com`` > 0; None when no point has one.
+    Only g moves, so the ring record is read once and every g/t counted in
+    one ``ring_equation._real_state_counts`` call.  A model that
+    ``nonbloch._ring_parameters`` rejects raises its ValueError."""
+    ring, _ = _ring_parameters(spec)
     values = np.linspace(lo, hi, steps)
-    counts = _ring_n_com(apply_parameter(spec, "g", float(value)) for value in values)
-    broken = [j for j, (n_com, _) in enumerate(counts) if n_com > 0]
-    return _onset_at(values, broken[0]) if broken else None
+    counts, _ = _real_state_counts(ring.L, values / ring.t, *ring.cosines)
+    broken = np.flatnonzero(counts < ring.L)
+    return _onset_at(values, int(broken[0])) if len(broken) else None
 
 
 def uncertain_onsets(grid: PhaseGrid) -> list[float]:

@@ -369,6 +369,17 @@ def test_meaningless_tol_imag_exits_1(tmp_path, capsys, tol):
     assert not (out / "spectrum.json").exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "criterion"])
+def test_an_overflowing_norm_is_blamed_on_scale(tmp_path, capsys, command):
+    # ||H||_F of the +-1e155i ends overflows to inf; no --tol-imag is given
+    ends = [{"i": 1, "j": 1, "re": 0.0, "im": 1e155}, {"i": 24, "j": 24, "re": 0.0, "im": -1e155}]
+    model = {"L": 24, "boundary": "open", "hoppings": [{"range": 1, "re": 1.0}], "perturbations": ends}
+    cfg = _write(tmp_path, "m.json", model)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: scale must be finite and positive (pass the Frobenius norm), got inf\n" in err
+
+
 # t2 x g on the open L = 100 NNN chain: its 6 points solve eigenvectors,
 # in one stack of ceil(501/L) = 6
 _OPEN_CHAIN_SCAN = {
@@ -538,6 +549,15 @@ def test_nonbloch_bad_g_range_exits_1(tmp_path, capsys, g_range):
     out = tmp_path / "o"
     assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 1
     assert "g_range" in capsys.readouterr().err
+    assert not (out / "nonbloch.json").exists()
+
+
+def test_nonbloch_g_range_beyond_the_count_exits_1(tmp_path, capsys):
+    doc = {"model": flux_ring(100, 0.3 / 100, 0.8).to_json_dict(), "g_range": [0.0, 1e150]}
+    cfg = _write(tmp_path, "n.json", doc)
+    out = tmp_path / "o"
+    assert main(["nonbloch", "--config", cfg, "--out", str(out)]) == 1
+    assert "needs |g/t| <= 1e+100, got 1e+150" in capsys.readouterr().err
     assert not (out / "nonbloch.json").exists()
 
 

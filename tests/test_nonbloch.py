@@ -407,6 +407,7 @@ def test_crossings_through_sampled_roots():
         pytest.param(1.0, (1.5, 0.0), "g_range", id="g_range0"),
         pytest.param(1.0, (0.0, float("nan")), "g_range", id="g_range1"),
         pytest.param(1.0, (1.0, 1.0), "g_range", id="g_range2"),
+        pytest.param(1.0, (0.0, 1e150), r"\|g/t\| <= 1e\+100", id="g_range_beyond_the_count"),
         # a negative t once gave the t = 1 intervals negated, high end first
         pytest.param(-1.0, (0.0, 1.5), "t must", id="t_negative"),
         pytest.param(float("nan"), (0.0, 1.5), "t must", id="t_nan"),
@@ -679,6 +680,18 @@ def _assert_block_certificate(curves, rs, phi):
                 sure = margin > 0
                 d = ring_equation._quadratic((a, b, c), block[:, None], cos_phi)
                 assert (np.sign(d[:, sure]) == keep[sure]).all()
+
+
+def test_count_stops_at_its_bound():
+    # at r = 1e150 the bounds on |D''| overflowed on this 100-site ring, and
+    # the count found 102 real levels
+    L, theta, phi = 100, 0.3 / 100, math.pi / 2
+    with pytest.raises(ValueError, match=r"needs \|g/t\| <= 1e\+100, got 1e\+150"):
+        ring_equation._real_state_counts(L, np.array([0.0, 1e150]), math.cos(phi), math.cos(0.3))
+    rs = np.array([-1e100, 1e100])
+    counts, _ = ring_equation._real_state_counts(L, rs, math.cos(phi), math.cos(0.3))
+    dense = [classify_spectrum(*solve(flux_ring(L, theta, g, phi=phi), vectors=False)) for g in rs]
+    assert counts.tolist() == [L - cls.n_com for cls in dense]
 
 
 def _small_ring_counts(cells, monkeypatch):

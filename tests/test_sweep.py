@@ -723,13 +723,26 @@ def test_ring_count_matches_the_dense_path_on_random_rings(seed):
     assert np.array_equal(grid.values[clear], values[clear])
 
 
-@pytest.mark.parametrize("theta", [0.2 / 100, 0.6 / 100, 1.0 / 100])
-def test_first_onset_counts_a_ring_as_the_dense_scan_does(theta, monkeypatch):
-    # the three flux values of perfbench's ring_theory effective task
+_ONSET_THETAS = (0.2 / 100, 0.6 / 100, 1.0 / 100)
+
+
+@pytest.mark.parametrize(
+    "theta, phi",
+    [pytest.param(theta, math.pi / 2, id=f"{theta:g}") for theta in _ONSET_THETAS]
+    + [
+        pytest.param(theta, phi, id=f"{theta:g}-{phi:g}")
+        for phi in (0.7, 1.1)
+        for theta in _ONSET_THETAS
+    ],
+)
+def test_first_onset_counts_a_ring_as_the_dense_scan_does(theta, phi, monkeypatch):
+    # the three flux values of perfbench's ring_theory effective task; at
+    # phi = 0.7 and 1.1 some of the rebuilt points' g or phi differ from the
+    # ring's in the last bit
     from ptlattice.effective import threshold_pbc
 
-    spec = apply_parameter(flux_ring(100, 0.3, 0.8), "flux_theta", theta)
-    g_pred = threshold_pbc(100, theta, math.pi / 2, 1.0)
+    spec = apply_parameter(flux_ring(100, 0.3, 0.8, phi=phi), "flux_theta", theta)
+    g_pred = threshold_pbc(100, theta, phi, 1.0)
     gs = np.linspace(0.0, 2.0 * g_pred, 41)
     broken = [
         classify_spectrum(*solve(apply_parameter(spec, "g", float(g)), vectors=False)).n_com > 0
@@ -797,6 +810,29 @@ def test_ring_count_makes_one_call_per_ring_size(grid, blocks, monkeypatch):
     assert run_sweep(config).provenance["path"] == "count"
     assert [(L, len(r)) for L, r, *_ in calls] == [(base.L, axis1[3] * axis2[3])]
     assert len(extremes) == blocks
+
+
+def test_first_onset_reads_the_ring_once_and_builds_no_model(monkeypatch):
+    spec = flux_ring(24, 0.1 / 24, 0.5)
+    built = _counting(monkeypatch, sweep, "apply_parameter")
+    read = _counting(monkeypatch, sweep, "_ring_parameters")
+    assert _first_onset(spec, 0.0, 2.0, 41) is not None
+    assert (len(built), len(read)) == (0, 1)
+
+
+def test_a_ring_grid_beyond_the_count_bound_is_solved():
+    # the count's curvature bounds overflowed at g/t = 5e149 and 1e150 on
+    # this 100-site ring: it found 102 real levels, and P_com read -0.02
+    config = SweepConfig(
+        flux_ring(100, 0.3 / 100, 1.0),
+        AxisSpec("flux_theta", 0.3 / 100, 0.5 / 100, 2),
+        AxisSpec("g", 0.0, 1e150, 3),
+        Metric.PCOM,
+    )
+    grid = run_sweep(config, threads=1)
+    assert grid.provenance["path"] == "dense"
+    assert np.array_equal(grid.values, _dense_reference(config)[0])
+    assert grid.values.min() >= 0.0
 
 
 def test_point_specs_build_each_axis_1_model_once_per_row(monkeypatch):
