@@ -12,11 +12,10 @@ weights.  The per-vector functions (:func:`fit_decay_constant`,
 :func:`localization_constant`, :func:`mean_position`,
 :func:`half_asymmetry`) are stacks of one.
 
-The continuum rule, :func:`_continuum`, reads eigenvalues only: a complex
-state is bound when c_beta = L min |ln|beta|| over the characteristic
-roots at its energy (:func:`_c_beta`) exceeds ``C_BOUND_CUT``.
-:func:`detect_bound_states` takes a spectrum without its model, so it
-keeps the eigenvector rule, the half-window |c| against the same cut.
+The one bound-state rule reads eigenvalues only: a state is bound when
+c_beta = L min |ln|beta|| over the characteristic roots at its energy
+(:func:`_c_beta`) exceeds ``C_BOUND_CUT``.  :func:`detect_bound_states`
+applies it to every state, :func:`_continuum` to complex candidates.
 """
 
 from __future__ import annotations
@@ -201,7 +200,7 @@ def _half_windows(L: int, max_range: int) -> tuple[tuple[int, int], ...] | None:
     """The two half-chain windows of the |c| fit, 1-based, each at least
     max(M, 5) sites from the chain's ends and its midpoint; None when one
     holds fewer than ``_MIN_FIT_SITES`` sites (chains of fewer than about
-    40 sites), where neither bound-state rule gives a verdict."""
+    40 sites), where |c| and c_beta are NaN and no state is bound."""
     margin = max(max_range, 5)
     half = L // 2
     windows = ((margin + 1, half - margin), (half + margin, L - margin))
@@ -230,21 +229,18 @@ def localization_constant(v: np.ndarray, max_range: int = 1) -> float:
     Bound states pinned to one edge, or decaying symmetrically from both
     edges, both show a large half-window |c|; scale-free profiles give
     |c| ~ O(1) on either half.  NaN when a half-window is shorter than 10
-    sites (chains of fewer than about 40 sites), so that
-    :func:`detect_bound_states` flags nothing there.
+    sites (chains of fewer than about 40 sites).  A measurement, not the
+    bound-state rule (:func:`detect_bound_states`).
     """
     return float(_localization_constants(np.asarray(v)[:, None], max_range)[0])
 
 
-def detect_bound_states(spectrum: Spectrum, max_range: int = 1) -> list[int]:
-    """Indices of states localized with a size-independent decay length:
-    those whose half-window |c| exceeds ``C_BOUND_CUT`` (a NaN |c|, on a
-    short chain, is not bound).  It reads the eigenvectors: the spectrum
-    comes without its model, whose roots the continuum rule's c_beta
-    needs."""
-    return np.flatnonzero(
-        _localization_constants(spectrum.vector(slice(None)), max_range) > C_BOUND_CUT
-    ).tolist()
+def detect_bound_states(spectrum: Spectrum, spec: ModelSpec) -> list[int]:
+    """Indices of the states of ``spec`` localized with a size-independent
+    decay length: those whose :func:`_c_beta` exceeds ``C_BOUND_CUT`` (a
+    NaN c_beta, on a short chain, is not bound).  It reads eigenvalues
+    only, so the spectrum may be values-only."""
+    return np.flatnonzero(_c_beta(spec, spectrum.eigenvalues) > C_BOUND_CUT).tolist()
 
 
 def bound_states_by_scaling(
@@ -260,7 +256,7 @@ def bound_states_by_scaling(
     parts shrink like 1/L and fail that test.  The cut 1/sqrt(2) is the
     geometric midpoint between the bound ratio (1) and the scale-free ratio
     (1/2), so a marginal mode at the bound-state formation point lands on
-    the bound side.  This refines the fixed |c| > C_BOUND_CUT cut near
+    the bound side.  This refines the fixed c_beta > C_BOUND_CUT cut near
     bound-state onset, where the emerging bound mode is still spatially
     extended at the original size.
     """
@@ -474,7 +470,7 @@ def state_metrics_rows(spec: ModelSpec, spectrum: Spectrum) -> list[tuple]:
         amps, eps = np.abs(V), np.finfo(float).eps
         c_fit[amps[window[0] - 1 : window[1]].min(axis=0) <= eps * amps.max(axis=0)] = np.nan
     bound = np.zeros(spectrum.dimension, dtype=int)
-    bound[detect_bound_states(spectrum, spec.max_range)] = 1
+    bound[detect_bound_states(spectrum, spec)] = 1
     values = spectrum.eigenvalues
     columns = (values.real, values.imag, *_positions(V), c_fit, bound)
     return list(zip(range(spectrum.dimension), *(col.tolist() for col in columns)))

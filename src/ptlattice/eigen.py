@@ -100,8 +100,10 @@ class Spectrum:
 
 
 def frobenius_norm(H: np.ndarray) -> float:
-    """Frobenius norm, used as the scale for residual and classification cuts."""
-    return float(np.linalg.norm(np.asarray(H)))
+    """Frobenius norm, used as the scale for residual and classification cuts;
+    inf, without a numpy warning, when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(H)))
 
 
 def _checked_matrix(H: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -185,7 +187,8 @@ def eigvals(H: np.ndarray) -> np.ndarray:
     values = _converged(np.linalg.eigvals, H).astype(np.complex128, copy=False)
     values = np.take_along_axis(values, np.lexsort((values.imag, values.real), axis=-1), -1)
     miss = abs(values.sum(axis=-1) - H.trace(axis1=-2, axis2=-1))
-    norms = np.linalg.norm(H, axis=(-2, -1))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(H, axis=(-2, -1))
     tol = TRACE_FACTOR * _EPS * H.shape[-1] * norms
     if (miss > tol).any():
         k = int(np.argmax(miss - tol))

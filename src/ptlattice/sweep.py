@@ -75,6 +75,12 @@ def _parameter_path(value) -> str:
     return value
 
 
+# each AxisSpec field and its reader, in field order
+_AXIS_FIELDS = (
+    ("parameter", _parameter_path), ("min", _number), ("max", _number), ("steps", _integer)
+)
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     parameter: str
@@ -83,7 +89,8 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self):
-        _field(vars(self), "parameter", _parameter_path)
+        for key, read in _AXIS_FIELDS:
+            object.__setattr__(self, key, _field(vars(self), key, read))
         if self.steps < 2:
             raise ValueError("axis needs at least 2 steps")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
@@ -94,22 +101,12 @@ class AxisSpec:
         return np.linspace(self.min, self.max, self.steps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "min": self.min,
-            "max": self.max,
-            "steps": self.steps,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, d: dict, path: str = "axis") -> "AxisSpec":
         """The axis in d, whose JSON path ``path`` prefixes error messages."""
-        return cls(
-            parameter=_field(d, f"{path}.parameter", _parameter_path),
-            min=_field(d, f"{path}.min", _number),
-            max=_field(d, f"{path}.max", _number),
-            steps=_field(d, f"{path}.steps", _integer),
-        )
+        return cls(*(_field(d, f"{path}.{key}", read) for key, read in _AXIS_FIELDS))
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,13 @@ def test_criterion_02_scale_free_localization():
 
 
 def test_criterion_03_bound_state_onset():
-    below = eig(build_hamiltonian(gain_chain(100, g=0.9)))
-    none_below = detect_bound_states(below, max_range=1) == []
+    below_spec = gain_chain(100, g=0.9)
+    below = eig(build_hamiltonian(below_spec))
+    none_below = detect_bound_states(below, below_spec) == []
 
     above_spec = gain_chain(100, g=1.5)
     above = eig(build_hamiltonian(above_spec))
-    idx = detect_bound_states(above, max_range=1)
+    idx = detect_bound_states(above, above_spec)
     one_above = len(idx) == 1
     rel = math.inf
     if one_above:

@@ -145,8 +145,10 @@ def test_classify_rejects_a_meaningless_tolerance():
 def test_detect_bound_states_above_onset():
     spec = gain_chain(100, g=1.5)
     spectrum = eig(build_hamiltonian(spec))
-    idx = detect_bound_states(spectrum, max_range=spec.max_range)
+    idx = detect_bound_states(spectrum, spec)
     assert len(idx) == 1
+    # the rule reads eigenvalues only, so a values-only solve gives it too
+    assert detect_bound_states(solve(spec, vectors=False)[0], spec) == idx
     e = spectrum.eigenvalues[idx[0]]
     assert e.imag == pytest.approx(1.5 - 1.0 / 1.5, rel=0.02)
 
@@ -154,13 +156,14 @@ def test_detect_bound_states_above_onset():
 def test_detect_bound_states_below_onset():
     spec = gain_chain(100, g=0.9)
     spectrum = eig(build_hamiltonian(spec))
-    assert detect_bound_states(spectrum, max_range=spec.max_range) == []
+    assert detect_bound_states(spectrum, spec) == []
+    assert detect_bound_states(solve(spec, vectors=False)[0], spec) == []
 
 
 def test_detect_bound_states_two_sided():
     spec = nnn_chain(100, 1.0, 0.1, 3.0)
     spectrum = eig(build_hamiltonian(spec))
-    idx = detect_bound_states(spectrum, max_range=spec.max_range)
+    idx = detect_bound_states(spectrum, spec)
     assert len(idx) == 2
 
 
@@ -175,13 +178,14 @@ _CONTINUUM_MODELS = (
 
 def test_continuum_is_complex_minus_bound_states():
     # the c_beta cut runs on the complex states only; on these chains it
-    # must agree with the eigenvector rule: the complex indices minus
-    # detect_bound_states (the half-window |c| cut) over all states
+    # must agree with a fit to the eigenvectors: the complex indices minus
+    # the states whose half-window |c| exceeds the cut
     seen_bound = 0
     for L, t2, g in _CONTINUUM_MODELS:
         spec = nnn_chain(L, 1.0, t2, g)
         spectrum, scale = solve(spec)
-        bound = set(detect_bound_states(spectrum, spec.max_range))
+        c = analysis._localization_constants(spectrum.eigenvectors, spec.max_range)
+        bound = set(np.flatnonzero(c > analysis.C_BOUND_CUT).tolist())
         cls = classify_spectrum(spectrum, scale)
         want = [i for i in cls.complex_indices if i not in bound]
         assert continuous_complex_indices(spec, spectrum, scale) == want, (L, t2, g)
@@ -333,8 +337,9 @@ def test_stacked_fits_match_per_state_polyfit(k):
     np.testing.assert_allclose(c, ref_c, rtol=0, atol=1e-11, equal_nan=True)
     np.testing.assert_allclose(c_fit, ref_fit, rtol=0, atol=1e-11, equal_nan=True)
 
+    # the c_beta rule agrees with the |c| cut on these models
     ref_bound = [i for i in states if ref_c[i] > analysis.C_BOUND_CUT]
-    assert detect_bound_states(spectrum, spec.max_range) == ref_bound
+    assert detect_bound_states(spectrum, spec) == ref_bound
     assert [row[6] for row in rows] == [int(i in ref_bound) for i in states]
     # the continuum's c_beta cut agrees with the |c| cut on these models
     complex_idx = classify_spectrum(spectrum, scale).complex_indices
@@ -364,7 +369,7 @@ def test_stacked_fit_nan_patterns():
     short = nnn_chain(30, 1.0, 0.5, 3.0)
     spectrum, _ = solve(short)
     assert np.isnan(analysis._localization_constants(spectrum.eigenvectors, 2)).all()
-    assert detect_bound_states(spectrum, 2) == []
+    assert detect_bound_states(spectrum, short) == []
     assert math.isnan(localization_constant(spectrum.vector(0), 2))
 
 
@@ -403,5 +408,3 @@ def test_per_vector_fits_are_stacks_of_one():
         fit_decay_constant(v, window)
     with pytest.raises(ValueError, match="zero vector"):
         mean_position(np.zeros(10))
-    with pytest.raises(ValueError, match="eigenvalue-only"):
-        detect_bound_states(solve(gain_chain(60), vectors=False)[0])

@@ -12,9 +12,14 @@ import pytest
 
 import ptlattice
 from ptlattice import Boundary, ModelSpec
-from ptlattice.analysis import default_fit_window
+from ptlattice.analysis import (
+    C_BOUND_CUT,
+    default_fit_window,
+    detect_bound_states,
+    localization_constant,
+)
 from ptlattice.cli import main
-from ptlattice.eigen import EigensolverError
+from ptlattice.eigen import EigensolverError, solve
 from ptlattice.nonbloch import unitary_scan
 from ptlattice.sweep import PARAMETER_PATHS, SweepConfig, config_hash, run_sweep
 from conftest import flux_ring, gain_chain, nnn_chain, not_rings, random_model
@@ -65,7 +70,7 @@ def test_spectrum_sidecar_health(tmp_path):
 
 
 def test_spectrum_long_open_chain(tmp_path):
-    # every state's c_fit and half-window |c| come from one stacked slope fit
+    # every state's c_fit comes from one stacked slope fit
     cfg = _write(tmp_path, "m.json", nnn_chain(400, 1.0, 0.5, 1.0).to_json_dict())
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
@@ -74,6 +79,21 @@ def test_spectrum_long_open_chain(tmp_path):
     assert len(rows) == 400
     assert not any(math.isnan(float(row["c_fit"])) for row in rows)
     assert sum(int(row["is_bound"]) for row in rows) == 2
+
+
+def test_spectrum_is_bound_reads_c_beta_not_the_vector_fit(tmp_path):
+    # state 2 of this open chain is an extended standing wave: its half-window
+    # |c| reads 11.86, above the cut, but its c_beta is 0.014, so it is not bound
+    spec = random_model(133)
+    cfg = _write(tmp_path, "m.json", spec.to_json_dict())
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    with (out / "spectrum.csv").open() as fh:
+        is_bound = [int(row["is_bound"]) for row in csv.DictReader(fh)]
+    assert is_bound[2] == 0
+    spectrum, _ = solve(spec)
+    assert localization_constant(spectrum.vector(2), spec.max_range) > C_BOUND_CUT
+    assert is_bound == [int(i in detect_bound_states(spectrum, spec)) for i in range(spec.L)]
 
 
 def test_spectrum_short_open_chain(tmp_path):

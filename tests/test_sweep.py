@@ -18,8 +18,8 @@ from ptlattice import (
     run_sweep,
     threshold_extract,
 )
-from ptlattice import ring_equation, sweep
-from ptlattice.analysis import classify_spectrum, detect_bound_states
+from ptlattice import analysis, ring_equation, sweep
+from ptlattice.analysis import classify_spectrum
 from ptlattice.cli import main
 from ptlattice.eigen import EigensolverError, _openblas_thread_controls, solve, solve_stack
 from ptlattice.lattice import is_pt_symmetric
@@ -61,6 +61,20 @@ def test_axis_spec_validation():
         AxisSpec("unknown", 0.0, 1.0, 5)
     with pytest.raises(ValueError):
         AxisSpec("g", 0.0, 1.0, 1)
+    # an integral float is a step count, as in a JSON config; a fraction, a
+    # string or a bool is rejected when the axis is built, not when it is swept
+    axis = AxisSpec("g", 0, 1, 3.0)
+    assert (axis.min, axis.max, axis.steps) == (0.0, 1.0, 3) and type(axis.steps) is int
+    assert np.array_equal(axis.values, [0.0, 0.5, 1.0])
+    assert axis.to_json_dict() == {"parameter": "g", "min": 0.0, "max": 1.0, "steps": 3}
+    for args, message in (
+        (("g", 0.0, 1.0, 2.5), "steps must be an integer, got 2.5"),
+        (("g", 0.0, 1.0, "0"), "steps must be an integer, got '0'"),
+        (("g", "0", 1.0, 3), "min must be a number"),
+        (("g", 0.0, True, 3), "max must be a number"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            AxisSpec(*args)
 
 
 def test_axis_values_are_linear():
@@ -381,9 +395,9 @@ def test_values_only_sweep_matches_per_point_solve(pt, metric, threads):
 
 @pytest.mark.parametrize("metric", ["PCom", "ThresholdCompare"])
 def test_open_chain_sweep_counts_continuum(metric):
-    # each point: complex eigenvalues minus detect_bound_states over all
-    # states, the eigenvector rule, which agrees with the sweep's c_beta cut
-    # on these chains
+    # each point: complex eigenvalues minus the states whose half-window |c|
+    # exceeds the cut, a fit to the eigenvectors, which agrees with the
+    # sweep's c_beta cut on these chains
     config = SweepConfig(
         base_model=nnn_chain(40, 1.0, 0.5, 0.5),
         axis1=AxisSpec("t2", 0.05, 0.6, 3),
@@ -396,7 +410,8 @@ def test_open_chain_sweep_counts_continuum(metric):
         for j, v2 in enumerate(config.axis2.values):
             spec = apply_parameter(config.base_model, "t2", v1)
             spectrum, scale = solve(apply_parameter(spec, "g", v2))
-            bound = set(detect_bound_states(spectrum, spec.max_range))
+            c = analysis._localization_constants(spectrum.eigenvectors, spec.max_range)
+            bound = set(np.flatnonzero(c > analysis.C_BOUND_CUT).tolist())
             complex_idx = classify_spectrum(spectrum, scale).complex_indices
             p_com = len([k for k in complex_idx if k not in bound]) / spec.L
             want = p_com if metric == "PCom" else float(p_com > 0)
